@@ -34,6 +34,7 @@ from .lp import (
     DualityCertificate,
     FractionalAssignment,
     LpSizeError,
+    _integer_weights,
     fractional_matching,
 )
 from .matching import (
@@ -81,6 +82,13 @@ class CheckReport:
     instance: Hypergraph3 | None = None
 
 
+def _link_radii(H: Hypergraph3, tolerance: float) -> tuple[list[float], list[int]]:
+    """Spectral radius of each vertex link (index v-1), and the vertices whose
+    power iteration stopped at its cap without converging."""
+    reports = [spectral_radius(link_graph(H, v)[0], tolerance) for v in range(1, H.n + 1)]
+    return [r.value for r in reports], [v for v, r in enumerate(reports, 1) if not r.converged]
+
+
 def check_condition(
     H: Hypergraph3,
     s: int,
@@ -92,19 +100,27 @@ def check_condition(
     """Spectral part only: per-vertex link radii, the minimum, and the verdict.
 
     `link_rho` may supply precomputed per-vertex link spectral radii
-    (index v-1) to skip the eigensolver.
+    (index v-1) to skip the eigensolver.  A radius whose power iteration did
+    not converge proves nothing, so any such link makes the condition
+    indeterminate, with a note naming its vertices.
     """
     if H.n == 0:
         return CheckReport(instance_id, 0, s, None, (), 0.0, 0.0, "fails")
+    nonconverged: list[int] = []
     if link_rho is None:
-        rhos = [spectral_radius(link_graph(H, v)[0], tolerance).value for v in range(1, H.n + 1)]
+        rhos, nonconverged = _link_radii(H, tolerance)
     else:
         if len(link_rho) != H.n:
             raise ValueError("link_rho must have one entry per vertex")
         rhos = [float(x) for x in link_rho]
     min_rho = min(rhos)
     threshold = threshold_match(s, H.n)
-    if min_rho > threshold + eps:
+    notes: tuple[str, ...] = ()
+    if nonconverged:
+        condition = "indeterminate"
+        vertices = ", ".join(map(str, nonconverged))
+        notes = (f"indeterminate: link spectral radius did not converge at vertices {vertices}",)
+    elif min_rho > threshold + eps:
         condition = "holds"
     elif min_rho < threshold - eps:
         condition = "fails"
@@ -119,6 +135,7 @@ def check_condition(
         min_rho=min_rho,
         threshold=threshold,
         condition=condition,
+        notes=notes,
     )
 
 
@@ -131,12 +148,15 @@ def check_thm11(
     """Three-way verdict for min link rho > (2/3 + gamma) n.
 
     The underlying statement is asymptotic; this only reports the condition.
+    A link whose power iteration did not converge makes it indeterminate.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    rhos = [spectral_radius(link_graph(H, v)[0], tolerance).value for v in range(1, H.n + 1)]
+    rhos, nonconverged = _link_radii(H, tolerance)
     min_rho = min(rhos) if rhos else 0.0
     threshold = (2.0 / 3.0 + gamma) * H.n
+    if nonconverged:
+        return "indeterminate", min_rho, threshold
     if min_rho > threshold + eps:
         return "holds", min_rho, threshold
     if min_rho < threshold - eps:
@@ -171,7 +191,7 @@ def verify_theorem(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     rep = check_condition(H, s, tolerance, eps, link_rho, instance_id)
     notes = _hypothesis_notes(H.n, s, mode)
-    rep = replace(rep, mode=mode, notes=tuple(notes))
+    rep = replace(rep, mode=mode, notes=tuple(notes) + rep.notes)
     if rep.condition != "holds":
         return rep
     if mode == "conj_pm" and H.n != 3 * s + 3:
@@ -243,12 +263,12 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
     w = {v: cert.dual.weights.get(v, Fraction(0)) for v in range(1, H.n + 1)}
     order = tuple(sorted(range(1, H.n + 1), key=lambda v: (-w[v], v)))
     new_w = {i + 1: w[order[i]] for i in range(H.n)}
+    # cover weight sum >= 1, exactly: W = w * D in integers, sums compared with D
+    W, D = _integer_weights(new_w, H.n)
+    triples = np.array(lex_triples(H.n), dtype=np.intp).reshape(-1, 3)
+    keep = W[triples].sum(axis=1) >= D
+    shifted = Hypergraph3(H.n, tuple(map(tuple, triples[keep].tolist())))
     old_to_new = {order[i]: i + 1 for i in range(H.n)}
-    edges = [
-        t for t in combinations(range(1, H.n + 1), 3)
-        if new_w[t[0]] + new_w[t[1]] + new_w[t[2]] >= 1
-    ]
-    shifted = Hypergraph3(H.n, tuple(edges))
     for e in H.edges:
         relabelled = tuple(sorted(old_to_new[v] for v in e))
         if not shifted.has_edge(relabelled):
@@ -269,24 +289,24 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
 
 
 def shift_closure_holds(shifted: Hypergraph3) -> bool:
-    """Exhaustive dominance scan: coordinatewise-smaller triples stay edges.
+    """Whether every increasing triple coordinatewise below an edge is an edge.
 
-    Every (edge, triple) pair is examined; the scan is vectorized but not
-    pruned.
+    A triple set is down-closed in this sense if and only if it is closed
+    under elementary moves, which lower one coordinate by 1 while the triple
+    stays strictly increasing: lowering the first coordinate, then the
+    second, then the third walks from any edge to any triple below it.  So
+    it suffices to look up the at most three elementary predecessors of each
+    edge, O(m) set lookups in all.
     """
-    if shifted.m == 0:
-        return True
-    triples = np.array(lex_triples(shifted.n))
-    index = {t: i for i, t in enumerate(lex_triples(shifted.n))}
-    present = np.zeros(len(triples), dtype=bool)
-    present[[index[e] for e in shifted.edges]] = True
-    E = np.array(shifted.edges)
-    dominated = (
-        (triples[None, :, 0] <= E[:, None, 0])
-        & (triples[None, :, 1] <= E[:, None, 1])
-        & (triples[None, :, 2] <= E[:, None, 2])
-    )
-    return bool(np.all(present[None, :] | ~dominated))
+    edges = set(shifted.edges)
+    for a, b, c in shifted.edges:
+        if (
+            (a > 1 and (a - 1, b, c) not in edges)
+            or (b > a + 1 and (a, b - 1, c) not in edges)
+            or (c > b + 1 and (a, b, c - 1) not in edges)
+        ):
+            return False
+    return True
 
 
 def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
@@ -388,9 +408,7 @@ def lemma25_check(
     n = G.n
     if n < s + 1:
         raise ValueError(f"need n >= s+1, got n={n}, s={s}")
-    import math
-
-    threshold = 0.5 * (s - 1 + math.sqrt((s - 1) ** 2 + 4 * s * (n - s)))
+    threshold = threshold_match(s, n + 1)
     rho = spectral_radius(G, tolerance).value
     if rho <= threshold + eps:
         return RemovalEdgeCountVerdict("not_applicable", rho, threshold)
@@ -576,9 +594,13 @@ def search_exhaustive(
     return SearchSummary(f"exhaustive({n})", n, s, mode, counts, tuple(violations))
 
 
+#: instances per random search stream; stream b + 1 starts where stream b ends
+STREAM_LENGTH = 1_000_003
+
+
 def instance_seed(base_seed: int, k: int) -> int:
-    """Seed of the k-th instance in a random search stream."""
-    return base_seed * 1_000_003 + k
+    """Seed of the k-th instance in a random search stream, 0 <= k < STREAM_LENGTH."""
+    return base_seed * STREAM_LENGTH + k
 
 
 def _random_range_worker(
@@ -627,6 +649,11 @@ def search_random(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples > STREAM_LENGTH:
+        raise ValueError(
+            f"samples must be at most {STREAM_LENGTH}, got {samples}: "
+            f"a longer stream would replay the instances of seed {seed + 1}"
+        )
     ranges = []
     if threads <= 1 or samples < 2:
         ranges = [(0, samples)]

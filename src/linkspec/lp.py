@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .graphs import Hypergraph3, Triple
 DEFAULT_TRIPLE_LIMIT = 2000
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpSizeError(ValueError):
@@ -33,9 +32,81 @@ class LpSizeError(ValueError):
 #: with int64 entries below this bound, a pivot's products cannot overflow
 _INT64_SAFE = 1 << 30
 
+#: with a common denominator below this bound, three weights in [0, 1]
+#: scaled by it sum without int64 overflow
+_WEIGHT_SUM_SAFE = (1 << 61) // 3
 
-def _common_denominator(fractions: Sequence[Fraction]) -> int:
+
+def _common_denominator(fractions: Iterable[Fraction]) -> int:
     return reduce(lcm, (f.denominator for f in fractions), 1)
+
+
+def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarray, int]:
+    """Vertex weights in [0, 1] as integers over their common denominator D.
+
+    Returns (W, D) with W[v] = weights[v] * D for each vertex v in 1..n that
+    has a weight, and 0 elsewhere (W[0] is unused).  W is int64 when D is
+    below _WEIGHT_SUM_SAFE and an object array of Python ints otherwise, so
+    sums of three entries are exact either way.
+    """
+    D = _common_denominator(weights.values())
+    W = np.zeros(n + 1, dtype=np.int64 if D < _WEIGHT_SUM_SAFE else object)
+    for v, w in weights.items():
+        if 1 <= v <= n:
+            W[v] = w.numerator * (D // w.denominator)
+    return W, D
+
+
+def _simplex_core(T: np.ndarray, nv: int, m: int) -> tuple[np.ndarray, list[int], int]:
+    """Bland's-rule primal simplex on an integer tableau, pivoting in place.
+
+    `T` holds m constraint rows [A | I | b] with b >= 0 and the objective row
+    [-c | 0 | 0] last; the slack columns nv..nv+m-1 are the initial basis.
+    Returns (T, basis, den): the final tableau, the basic column of each row,
+    and the common denominator, so T[i, j] / den is the rational entry.
+
+    Fraction-free pivoting (Bareiss): every entry is the true rational times
+    the previous pivot element, and each pivot's cross-multiplication step
+    divides exactly.  Entries stay int64 while no product can overflow and
+    become arbitrary-precision integers once an entry reaches _INT64_SAFE;
+    after that promotion the returned T is a new object array.
+    """
+    rhs = nv + m
+    basis = list(range(nv, nv + m))
+    den = 1  # current common denominator of the tableau (always positive)
+    buf = np.empty_like(T)
+    while True:
+        neg = np.flatnonzero(T[m, :rhs] < 0)
+        if len(neg) == 0:
+            break
+        enter = int(neg[0])  # Bland's rule: first improving column
+        col = T[:m, enter]
+        leave = None
+        num_l = den_l = 0  # best ratio as num_l/den_l with den_l > 0
+        for i in np.flatnonzero(col > 0):
+            a = int(T[i, enter])
+            r = int(T[i, rhs])
+            cmp = r * den_l - num_l * a  # sign of ratio_i - best_ratio
+            if leave is None or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                num_l, den_l = r, a
+                leave = int(i)
+        if leave is None:
+            raise ArithmeticError("LP is unbounded")  # cannot happen for matching LPs
+        if T.dtype != object and max(int(T.max()), -int(T.min())) >= _INT64_SAFE:
+            T = T.astype(object)
+            buf = np.empty_like(T)
+        piv = T[leave, enter]
+        prow = T[leave].copy()
+        pcol = T[:, enter].copy()
+        # T <- (T * piv - pcol prow^T) / den, the division exact
+        np.multiply(T, piv, out=T)
+        np.multiply.outer(pcol, prow, out=buf)
+        np.subtract(T, buf, out=T)
+        np.floor_divide(T, den, out=T)
+        T[leave] = prow
+        den = int(piv)
+        basis[leave] = enter
+    return T, basis, den
 
 
 def simplex_max(
@@ -48,12 +119,10 @@ def simplex_max(
     Exact primal simplex with Bland's rule.  Returns (optimum, x, duals)
     where duals are the optimal multipliers of the <= constraints.
 
-    The tableau is kept in integers via fraction-free pivoting: every entry
-    is the true rational times the current denominator (the previous pivot
-    element), and each pivot's cross-multiplication step divides exactly.
-    Entries are machine integers while they provably cannot overflow and
-    arbitrary-precision integers afterwards, so the result is exact either
-    way; the pivot sequence is identical to a rational-tableau simplex.
+    This is the rational front end of `_simplex_core`: it scales the
+    objective and each constraint row to integers, solves the integer
+    tableau, and converts the result back to Fractions, undoing the scales.
+    The pivot sequence is identical to a rational-tableau simplex.
     """
     m = len(rows)
     nv = len(c)
@@ -77,37 +146,7 @@ def simplex_max(
         data[i][nv + i] = 1  # unit slack column; the initial basis is the identity
     data.append([-int(f * obj_scale) for f in cf] + [0] * (m + 1))
     big = max((abs(x) for row in data for x in row), default=0) >= _INT64_SAFE
-    T = np.array(data, dtype=object if big else np.int64)
-    basis = list(range(nv, nv + m))
-    den = 1  # current common denominator of the tableau (always positive)
-    while True:
-        neg = np.flatnonzero(T[m, : nv + m] < 0)
-        if len(neg) == 0:
-            break
-        enter = int(neg[0])  # Bland's rule: first improving column
-        col = T[:m, enter]
-        leave = None
-        num_l = den_l = 0  # best ratio as num_l/den_l with den_l > 0
-        for i in np.flatnonzero(col > 0):
-            a = int(T[i, enter])
-            r = int(T[i, rhs])
-            cmp = r * den_l - num_l * a  # sign of ratio_i - best_ratio
-            if leave is None or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
-                num_l, den_l = r, a
-                leave = int(i)
-        if leave is None:
-            raise ArithmeticError("LP is unbounded")  # cannot happen for matching LPs
-        if T.dtype != object:
-            peak = int(np.abs(T).max())
-            if peak >= _INT64_SAFE:
-                T = T.astype(object)
-        piv = T[leave, enter]
-        prow = T[leave].copy()
-        pcol = T[:, enter].copy()
-        T = (T * piv - np.outer(pcol, prow)) // den  # exact division
-        T[leave] = prow
-        den = int(piv)
-        basis[leave] = enter
+    T, basis, den = _simplex_core(np.array(data, dtype=object if big else np.int64), nv, m)
     x = [ZERO] * nv
     for i, bv in enumerate(basis):
         if bv < nv:
@@ -147,10 +186,11 @@ class FractionalAssignment:
             bad = [v for v, s in load.items() if s > 1]
             if bad:
                 raise ValueError(f"vertex constraint violated at {bad[0]}")
-        else:
-            for e in H.edges:
-                if sum((self.weights.get(v, ZERO) for v in e), ZERO) < 1:
-                    raise ValueError(f"edge {e} is not covered")
+        elif H.m:
+            W, D = _integer_weights(self.weights, H.n)
+            short = np.flatnonzero(W[np.array(H.edges)].sum(axis=1) < D)
+            if len(short):
+                raise ValueError(f"edge {H.edges[short[0]]} is not covered")
 
 
 @dataclass(frozen=True)
@@ -189,18 +229,24 @@ def fractional_matching(
         primal = FractionalAssignment("matching", {}, ZERO)
         dual = FractionalAssignment("cover", {}, ZERO)
         return DualityCertificate(primal, dual)
-    touched = [v for v in range(1, H.n + 1) if H.incidence[v - 1]]
-    row_of = {v: i for i, v in enumerate(touched)}
-    rows = [[ZERO] * H.m for _ in touched]
-    for j, e in enumerate(H.edges):
-        for v in e:
-            rows[row_of[v]][j] = ONE
-    c = [ONE] * H.m
-    b = [ONE] * len(touched)
-    value, x, duals = simplex_max(c, rows, b)
-    primal_w = {e: x[j] for j, e in enumerate(H.edges) if x[j] != 0}
-    dual_w = {v: duals[row_of[v]] for v in touched if duals[row_of[v]] != 0}
-    primal = FractionalAssignment("matching", primal_w, value)
+    # The tableau [A | I | 1] over the vertices that meet an edge, with the
+    # objective row [-1 | 0 | 0]: every scale is 1, so it goes to the core as is.
+    E = np.array(H.edges)
+    touched = np.unique(E).tolist()
+    k, m = len(touched), H.m
+    row_of = np.zeros(H.n + 1, dtype=np.intp)
+    row_of[touched] = np.arange(k)
+    T = np.zeros((k + 1, m + k + 1), dtype=np.int64)
+    T[row_of[E], np.arange(m)[:, None]] = 1
+    T[np.arange(k), m + np.arange(k)] = 1
+    T[:k, -1] = 1
+    T[k, :m] = -1
+    T, basis, den = _simplex_core(T, m, k)
+    rhs = m + k
+    support = sorted((bv, int(T[i, rhs])) for i, bv in enumerate(basis) if bv < m and T[i, rhs])
+    primal_w = {H.edges[j]: Fraction(x, den) for j, x in support}
+    dual_w = {v: Fraction(int(T[k, m + i]), den) for i, v in enumerate(touched) if T[k, m + i]}
+    primal = FractionalAssignment("matching", primal_w, Fraction(int(T[k, rhs]), den))
     dual = FractionalAssignment("cover", dual_w, sum(dual_w.values(), ZERO))
     primal.validate(H)
     dual.validate(H)

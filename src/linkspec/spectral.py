@@ -130,10 +130,7 @@ def stanley_bound(m: int) -> float:
     return (-1.0 + math.sqrt(1.0 + 8.0 * m)) / 2.0
 
 
-def hong_bound(
-    G: Graph2,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> float:
+def hong_bound(G: Graph2) -> float:
     """Minimum-degree edge-count bound on the spectral radius.
 
     The underlying inequality assumes connectivity, so the bound is taken

@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive quantities with methods different
 from the library's (dense eigensolver vs power iteration, exhaustive
 recursion vs branch-and-bound / blossom, rational-tableau simplex vs the
-integer-pivoting one), so agreement between the two routes is meaningful.
+integer-pivoting one, dominance scan vs elementary moves), so agreement
+between the two routes is meaningful.
 """
 
 from __future__ import annotations
@@ -124,6 +125,29 @@ def ref_nu_frac(H: Hypergraph3) -> Fraction:
     rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
     value, _, _ = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
     return value
+
+
+# ---------------------------------------------------------------------------
+# Shift-closure oracle: the exhaustive dominance scan over all (edge, triple)
+# pairs, independent of the library's elementary-move check.
+
+
+def ref_shift_closure_holds(shifted: Hypergraph3) -> bool:
+    """Whether every increasing triple coordinatewise below an edge is an edge."""
+    if shifted.m == 0:
+        return True
+    all_triples = list(combinations(range(1, shifted.n + 1), 3))
+    triples = np.array(all_triples)
+    index = {t: i for i, t in enumerate(all_triples)}
+    present = np.zeros(len(triples), dtype=bool)
+    present[[index[e] for e in shifted.edges]] = True
+    E = np.array(shifted.edges)
+    dominated = (
+        (triples[None, :, 0] <= E[:, None, 0])
+        & (triples[None, :, 1] <= E[:, None, 1])
+        & (triples[None, :, 2] <= E[:, None, 2])
+    )
+    return bool(np.all(present[None, :] | ~dominated))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ class TestSearch:
         rep = json.loads(out)
         assert code == 0 and rep["results"]["counts"]["total"] == 16
 
+    def test_random_stream_overrun_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--space", "random", "--n", "9", "--s", "1",
+            "--mode", "thm13", "--p", "0.5", "--samples", "1000004",
+            "--seed", "5", "--no-timing",
+        )
+        assert code == 1 and out == "" and "samples must be at most 1000003" in err
+
     def test_random_requires_sampling_params(self, capsys):
         code, _, err = run(
             capsys, "search", "--space", "random", "--n", "7", "--s", "1",

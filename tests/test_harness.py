@@ -15,8 +15,10 @@ from linkspec.constructions import (
     random_3graph,
     split_graph,
 )
+from linkspec import harness
 from linkspec.graphs import Graph2, Hypergraph3, induced, link_graph
 from linkspec.harness import (
+    STREAM_LENGTH,
     LiftFailure,
     absorbing_sets,
     check_condition,
@@ -34,7 +36,7 @@ from linkspec.lp import fractional_matching
 from linkspec.matching import max_matching_3graph
 from linkspec.spectral import spectral_radius
 
-from conftest import brute_nu_3graph, rand_3graph
+from conftest import brute_nu_3graph, rand_3graph, ref_shift_closure_holds
 
 
 class TestCheckCondition:
@@ -53,6 +55,28 @@ class TestCheckCondition:
     def test_empty_fails(self):
         assert check_condition(Hypergraph3(9, ()), 1).condition == "fails"
         assert check_condition(Hypergraph3(0, ()), 1).condition == "fails"
+
+    def test_nonconverged_link_is_indeterminate(self, monkeypatch):
+        H = random_3graph(9, 0.8, 3).hypergraph
+        assert check_condition(H, 1).condition == "holds"
+        assert check_thm11(H, 0.05)[0] == "fails"
+
+        def capped(G, tolerance):
+            return spectral_radius(G, tolerance, iteration_cap=2)
+
+        stalled = [v for v in range(1, 10) if not capped(link_graph(H, v)[0], 1e-10).converged]
+        assert stalled
+        monkeypatch.setattr(harness, "spectral_radius", capped)
+        rep = check_condition(H, 1)
+        assert rep.condition == "indeterminate"
+        assert rep.notes == (
+            "indeterminate: link spectral radius did not converge at vertices "
+            + ", ".join(map(str, stalled)),
+        )
+        full = verify_theorem(H, 1, "thm13")
+        assert full.condition == "indeterminate" and full.verdict == "skipped"
+        assert rep.notes[0] in full.notes
+        assert check_thm11(H, 0.05)[0] == "indeterminate"
 
     def test_precomputed_rho_is_honored(self):
         H = complete_3graph(6).hypergraph
@@ -147,6 +171,23 @@ class TestShift:
         assert shift_closure_holds(Hypergraph3(5, ()))
         assert not shift_closure_holds(Hypergraph3(5, ((2, 3, 4),)))
         assert not shift_closure_holds(Hypergraph3(6, ((1, 2, 3), (2, 3, 6))))
+
+    def test_closure_check_agrees_with_dominance_scan(self):
+        rng = random.Random(57)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            triples = list(combinations(range(1, n + 1), 3))
+            tops = rng.sample(triples, min(len(triples), rng.randint(1, 4)))
+            closed = [t for t in triples if any(all(map(int.__le__, t, u)) for u in tops)]
+            picked = [t for t in triples if rng.random() < 0.3]
+            dropped = rng.choice(closed)
+            for edges in (closed, picked, [t for t in closed if t != dropped]):
+                H = Hypergraph3(n, tuple(edges))
+                verdicts.append(ref_shift_closure_holds(H))
+                assert shift_closure_holds(H) == verdicts[-1], edges
+            assert shift_closure_holds(Hypergraph3(n, tuple(closed)))
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
     def test_shift_properties_on_random_instances(self):
         rng = random.Random(52)
@@ -307,6 +348,11 @@ class TestSearchRandom:
         seeds = {instance_seed(42, k) for k in range(1000)}
         assert len(seeds) == 1000
         assert instance_seed(42, 0) != instance_seed(43, 0)
+
+    def test_stream_may_not_run_into_the_next_seed(self):
+        assert instance_seed(5, STREAM_LENGTH) == instance_seed(6, 0)
+        with pytest.raises(ValueError, match="replay the instances of seed 6"):
+            search_random(9, 0.5, STREAM_LENGTH + 1, 5, 1, "thm13")
 
     def test_validation(self):
         with pytest.raises(ValueError):

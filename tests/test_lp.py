@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2
@@ -11,6 +12,8 @@ from linkspec.lp import (
     DualityCertificate,
     FractionalAssignment,
     LpSizeError,
+    _INT64_SAFE,
+    _simplex_core,
     fractional_matching,
     has_perfect_fractional_matching,
     simplex_max,
@@ -60,6 +63,35 @@ class TestSimplex:
                     rows[rng.randrange(m)][j] = ONE
             assert simplex_max(c, rows, b) == ref_simplex_max(c, rows, b)
 
+    def test_core_promotes_to_bigints_mid_solve(self):
+        # int64 entries below the safe bound whose pivot minors outgrow it:
+        # the core must switch to Python ints part-way and stay exact
+        promoted = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            k = 6
+            c = [rng.randint(1, 9) for _ in range(k)]
+            rows = [[rng.randint(0, 2000) for _ in range(k)] for _ in range(k)]
+            b = [rng.randint(1000, 5000) for _ in range(k)]
+            T = np.array(
+                [r + [int(i == j) for j in range(k)] + [bi] for i, (r, bi) in enumerate(zip(rows, b))]
+                + [[-x for x in c] + [0] * (k + 1)],
+                dtype=np.int64,
+            )
+            assert np.abs(T).max() < _INT64_SAFE
+            T, basis, den = _simplex_core(T, k, k)
+            promoted += T.dtype == object
+            x = [ZERO] * k
+            for i, bv in enumerate(basis):
+                if bv < k:
+                    x[bv] = Fraction(int(T[i, 2 * k]), den)
+            duals = [Fraction(int(T[k, k + i]), den) for i in range(k)]
+            value = Fraction(int(T[k, 2 * k]), den)
+            as_fractions = [[Fraction(a) for a in r] for r in rows]
+            ref = ref_simplex_max([Fraction(a) for a in c], as_fractions, [Fraction(a) for a in b])
+            assert (value, x, duals) == ref
+        assert promoted >= 5
+
     def test_big_integer_coefficients_stay_exact(self):
         big = Fraction(1 << 62)
         value, x, duals = simplex_max([ONE], [[ONE]], [big])
@@ -95,6 +127,13 @@ class TestAssignments:
         FractionalAssignment("cover", {1: ONE, 4: ONE}, Fraction(2)).validate(H)
         with pytest.raises(ValueError):
             FractionalAssignment("cover", {1: ONE}, ONE).validate(H)
+        # a common denominator too large for int64 sums: exact in Python ints
+        tiny = Fraction(1, 3 << 62)
+        exact = {1: ONE - tiny, 2: tiny, 4: ONE}
+        FractionalAssignment("cover", exact, Fraction(2)).validate(H)
+        short = {1: ONE - 2 * tiny, 2: tiny, 4: ONE}
+        with pytest.raises(ValueError, match="not covered"):
+            FractionalAssignment("cover", short, Fraction(2) - tiny).validate(H)
 
     def test_certificate_requires_equal_values(self):
         p = FractionalAssignment("matching", {(1, 2, 3): ONE}, ONE)
@@ -146,6 +185,18 @@ class TestFractionalMatching:
         for _ in range(30):
             H = rand_3graph(rng.randint(4, 10), rng.random(), rng)
             assert fractional_matching(H).value == ref_nu_frac(H)
+        # the same Bland rule reaches the same vertex: equal primal and duals
+        for _ in range(15):
+            H = rand_3graph(rng.randint(4, 12), rng.random(), rng)
+            if H.m == 0:
+                continue
+            touched = [v for v in range(1, H.n + 1) if H.incidence[v - 1]]
+            rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
+            value, x, duals = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
+            cert = fractional_matching(H)
+            assert cert.value == value
+            assert dict(cert.primal.weights) == {e: x[j] for j, e in enumerate(H.edges) if x[j]}
+            assert dict(cert.dual.weights) == {v: duals[i] for i, v in enumerate(touched) if duals[i]}
 
 
 class TestPerfectFractionalMatching:
