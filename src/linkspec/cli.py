@@ -38,6 +38,7 @@ from .matching import DEFAULT_BUDGET, max_matching_3graph
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
+    classify_condition,
     spectral_radius,
     threshold_match,
 )
@@ -152,14 +153,9 @@ def _cmd_rho(args: argparse.Namespace) -> int:
     }
     if args.s is not None:
         thr = threshold_match(args.s, obj.n)
+        converged = all(x["converged"] for x in per_vertex)
         results["threshold"] = thr
-        mn = results["min_rho"]
-        if mn > thr + args.eps:
-            results["condition"] = "holds"
-        elif mn < thr - args.eps:
-            results["condition"] = "fails"
-        else:
-            results["condition"] = "indeterminate"
+        results["condition"] = classify_condition(results["min_rho"], thr, args.eps, converged)
     _emit(args, params, results, started)
     return 0
 

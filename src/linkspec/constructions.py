@@ -8,7 +8,6 @@ validated by the exact solvers before being trusted in reports.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +16,7 @@ from math import comb
 from typing import Iterator
 
 from .graphs import Graph2, Hypergraph3
+from .spectral import threshold_match
 
 MAX_ENUMERABLE_TRIPLES = 24
 
@@ -66,12 +66,9 @@ def h1(s: int, n: int) -> LabeledInstance:
         raise ValueError(f"need s <= n, got s={s}, n={n}")
     edges = [e for e in combinations(range(1, n + 1), 3) if e[0] <= s]
     H = Hypergraph3(n, tuple(edges))
-    if s >= n - 1:  # every link is complete, no split-graph link remains
-        min_rho = float(n - 2)
-    else:
-        min_rho = 0.5 * (s - 1 + math.sqrt((s - 1) ** 2 + 4 * s * (n - s - 1)))
     exp = Expected(
-        min_link_rho=min_rho,
+        # h1(s, n) is complete for s >= n-2; the cap keeps threshold_match's n >= s+1
+        min_link_rho=threshold_match(min(s, n - 1), n),
         nu=min(s, n // 3),
         nu_frac=Fraction(min(s, n // 3)) if n < 3 * s else Fraction(s),
     )
@@ -112,8 +109,7 @@ def split_graph(s: int, n: int) -> tuple[Graph2, float]:
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     edges = [(a, b) for a, b in combinations(range(1, n + 1), 2) if a <= s]
-    rho = 0.5 * (s - 1 + math.sqrt((s - 1) ** 2 + 4 * s * (n - s))) if s else 0.0
-    return Graph2(n, tuple(edges)), rho
+    return Graph2(n, tuple(edges)), threshold_match(s, n + 1)
 
 
 def random_3graph(n: int, p: float, seed: int) -> LabeledInstance:
@@ -151,6 +147,5 @@ def enumerate_3graphs(n: int) -> Iterator[Hypergraph3]:
     m = comb(n, 3)
     if m > MAX_ENUMERABLE_TRIPLES:
         raise ValueError(f"C({n},3) = {m} exceeds the exhaustive limit {MAX_ENUMERABLE_TRIPLES}")
-    triples = lex_triples(n)
     for mask in range(1 << m):
-        yield Hypergraph3(n, tuple(t for i, t in enumerate(triples) if mask >> i & 1))
+        yield hypergraph_from_bitmask(n, mask)

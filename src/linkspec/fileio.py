@@ -3,6 +3,9 @@
 Text grammar: header ``p h3 <n> <m>`` (or ``p edge <n> <m>`` for 2-graphs)
 followed by exactly m lines ``e <a> <b> <c>`` (``e <a> <b>``) with strictly
 increasing in-range labels; ``c ...`` comment lines are allowed anywhere.
+The JSON mirror is ``{"n": <n>, "edges": [[a, b, c], ...]}``.  Both formats
+check each edge with one validator, so malformed input in either format
+raises `ParseError`, which the CLI reports with exit 2.
 Parsing and serialization round-trip exactly on canonical form; duplicate
 edges are an error, never deduplicated silently.
 """
@@ -22,6 +25,25 @@ class ParseError(ValueError):
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
         self.line = line
+
+
+def _check_edge(e, arity: int, n: int, seen: set, line: int | None = None) -> tuple[int, ...]:
+    """Check one edge's arity, int (not bool) vertices, order, range 1..n and novelty."""
+    if not isinstance(e, (list, tuple)) or len(e) != arity:
+        raise ParseError(f"expected {arity} vertices in edge {e!r}", line)
+    vs = tuple(e)
+    if any(type(v) is not int for v in vs):
+        raise ParseError(f"non-integer vertex in edge {e!r}", line)
+    if len(set(vs)) != arity:
+        raise ParseError(f"repeated vertex in edge {vs}", line)
+    if tuple(sorted(vs)) != vs:
+        raise ParseError(f"edge {vs} is not sorted increasingly", line)
+    if not (1 <= vs[0] and vs[-1] <= n):
+        raise ParseError(f"vertex out of range 1..{n} in edge {vs}", line)
+    if vs in seen:
+        raise ParseError(f"duplicate edge {vs}", line)
+    seen.add(vs)
+    return vs
 
 
 def _parse_dimacs(text: str) -> Graph2 | Hypergraph3:
@@ -51,56 +73,38 @@ def _parse_dimacs(text: str) -> Graph2 | Hypergraph3:
             if kind is None:
                 raise ParseError("edge line before header", lineno)
             arity = 3 if kind == "h3" else 2
-            if len(tokens) != arity + 1:
-                raise ParseError(f"expected {arity} vertices on edge line", lineno)
             try:
-                vs = tuple(int(t) for t in tokens[1:])
+                vs = [int(t) for t in tokens[1:]]
             except ValueError:
                 raise ParseError(f"non-integer vertex in {line!r}", lineno) from None
-            if len(set(vs)) != arity:
-                raise ParseError(f"repeated vertex in edge {vs}", lineno)
-            if tuple(sorted(vs)) != vs:
-                raise ParseError(f"edge {vs} is not sorted increasingly", lineno)
-            if not (1 <= vs[0] and vs[-1] <= n):
-                raise ParseError(f"vertex out of range 1..{n} in edge {vs}", lineno)
-            if vs in seen:
-                raise ParseError(f"duplicate edge {vs}", lineno)
-            seen.add(vs)
-            edges.append(vs)
+            edges.append(_check_edge(vs, arity, n, seen, lineno))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if kind is None:
         raise ParseError("missing 'p' header")
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges but {len(edges)} were given")
-    if kind == "h3":
-        return Hypergraph3.from_edges(n, edges)
-    return Graph2.from_edges(n, edges)
+    return (Hypergraph3 if kind == "h3" else Graph2)(n, tuple(sorted(edges)))
 
 
 def _parse_json(text: str) -> Graph2 | Hypergraph3:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge int, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError("JSON instance must be an object with 'n' and 'edges'")
     n = data["n"]
     edges = data["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise ParseError("'n' must be an integer and 'edges' a list")
-    arities = {len(e) for e in edges}
-    if arities - {2, 3} or len(arities) > 1:
+    if type(n) is not int or n < 0 or not isinstance(edges, list):
+        raise ParseError("'n' must be a nonnegative integer and 'edges' a list")
+    # the first edge fixes the arity; _check_edge holds every edge to it
+    arity = len(edges[0]) if edges and isinstance(edges[0], list) else 3
+    if arity not in (2, 3):
         raise ParseError("edges must be uniformly pairs or triples")
-    seen = set()
-    for e in edges:
-        t = tuple(e)
-        if t in seen or tuple(sorted(set(t))) != t:
-            raise ParseError(f"bad or duplicate edge {e}")
-        seen.add(t)
-    if arities == {2}:
-        return Graph2.from_edges(n, edges)
-    return Hypergraph3.from_edges(n, edges)
+    seen: set[tuple[int, ...]] = set()
+    edges = sorted(_check_edge(e, arity, n, seen) for e in edges)
+    return (Graph2 if arity == 2 else Hypergraph3)(n, tuple(edges))
 
 
 def parse_instance(text: str) -> Graph2 | Hypergraph3:

@@ -28,7 +28,7 @@ from .constructions import (
     lex_triples,
     random_3graph,
 )
-from .graphs import Graph2, Hypergraph3, Triple, induced, link_graph
+from .graphs import Graph2, Hypergraph3, link_graph
 from .lp import (
     DEFAULT_TRIPLE_LIMIT,
     DualityCertificate,
@@ -46,6 +46,7 @@ from .matching import (
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
+    classify_condition,
     spectral_radius,
     threshold_match,
 )
@@ -117,15 +118,8 @@ def check_condition(
     threshold = threshold_match(s, H.n)
     notes: tuple[str, ...] = ()
     if nonconverged:
-        condition = "indeterminate"
         vertices = ", ".join(map(str, nonconverged))
         notes = (f"indeterminate: link spectral radius did not converge at vertices {vertices}",)
-    elif min_rho > threshold + eps:
-        condition = "holds"
-    elif min_rho < threshold - eps:
-        condition = "fails"
-    else:
-        condition = "indeterminate"
     return CheckReport(
         instance_id=instance_id,
         n=H.n,
@@ -134,7 +128,7 @@ def check_condition(
         per_vertex_rho=tuple((v, rhos[v - 1]) for v in range(1, H.n + 1)),
         min_rho=min_rho,
         threshold=threshold,
-        condition=condition,
+        condition=classify_condition(min_rho, threshold, eps, not nonconverged),
         notes=notes,
     )
 
@@ -155,13 +149,7 @@ def check_thm11(
     rhos, nonconverged = _link_radii(H, tolerance)
     min_rho = min(rhos) if rhos else 0.0
     threshold = (2.0 / 3.0 + gamma) * H.n
-    if nonconverged:
-        return "indeterminate", min_rho, threshold
-    if min_rho > threshold + eps:
-        return "holds", min_rho, threshold
-    if min_rho < threshold - eps:
-        return "fails", min_rho, threshold
-    return "indeterminate", min_rho, threshold
+    return classify_condition(min_rho, threshold, eps, not nonconverged), min_rho, threshold
 
 
 def _hypothesis_notes(n: int, s: int, mode: str) -> list[str]:
@@ -342,11 +330,10 @@ def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
 # Absorbing sets and the removal edge-count lemma
 
 
-def _has_disjoint_edges(edges: Sequence[Triple], k: int) -> bool:
-    """Whether some k of the given triples are pairwise disjoint (exhaustive)."""
+def _has_disjoint_edges(masks: Sequence[int], k: int) -> bool:
+    """Whether some k of the given edge bitmasks are pairwise disjoint (exhaustive)."""
     if k <= 0:
         return True
-    masks = [sum(1 << v for v in e) for e in edges]
 
     def rec(i: int, used: int, left: int) -> bool:
         if left == 0:
@@ -370,13 +357,15 @@ def absorbing_sets(H: Hypergraph3, T: Iterable[int]) -> list[tuple[int, ...]]:
         if not 1 <= v <= H.n:
             raise ValueError(f"vertex {v} out of range 1..{H.n}")
     rest = [v for v in range(1, H.n + 1) if v not in ts]
+    edge_masks = [1 << a | 1 << b | 1 << c for a, b, c in H.edges]
+    t_mask = sum(1 << v for v in ts)
     out = []
     for A in combinations(rest, 6):
-        inner, _ = induced(H, A)
-        if not _has_disjoint_edges(inner.edges, 2):
+        a_mask = sum(1 << v for v in A)
+        if not _has_disjoint_edges([e for e in edge_masks if e & a_mask == e], 2):
             continue
-        both, _ = induced(H, A + ts)
-        if _has_disjoint_edges(both.edges, 3):
+        both = a_mask | t_mask
+        if _has_disjoint_edges([e for e in edge_masks if e & both == e], 3):
             out.append(A)
     return out
 
@@ -534,7 +523,7 @@ def search_exhaustive(
             j = t_index[tuple(sorted(allv - set(t)))]
             if i < j:
                 comp_pairs.append((i, j))
-    fast_conclusion = n == 6 and s == 1 and mode in MODES
+    fast_conclusion = n == 6 and s == 1
 
     counts = _new_counts()
     violations: list[CheckReport] = []
@@ -654,7 +643,6 @@ def search_random(
             f"samples must be at most {STREAM_LENGTH}, got {samples}: "
             f"a longer stream would replay the instances of seed {seed + 1}"
         )
-    ranges = []
     if threads <= 1 or samples < 2:
         ranges = [(0, samples)]
     else:

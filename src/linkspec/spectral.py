@@ -166,12 +166,24 @@ def terpai_gap(
 
 
 def threshold_match(s: int, n: int) -> float:
-    """Link spectral-radius threshold for a matching of size s+1 on n vertices."""
+    """Link threshold for a matching of size s+1 on n vertices: rho(K_s v co-K_{n-s-1})."""
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if n < s + 1:
         raise ValueError(f"need n >= s+1, got n={n}, s={s}")
     return 0.5 * (s - 1 + math.sqrt((s - 1) ** 2 + 4 * s * (n - s - 1)))
+
+
+def classify_condition(min_rho: float, threshold: float, eps: float, converged: bool) -> str:
+    """Three-way verdict for min_rho > threshold: within `eps` of it, or from a
+    non-converged radius, the answer is "indeterminate"."""
+    if not converged:
+        return "indeterminate"
+    if min_rho > threshold + eps:
+        return "holds"
+    if min_rho < threshold - eps:
+        return "fails"
+    return "indeterminate"
 
 
 def threshold_fyz(m: int, n: int) -> float:
@@ -182,7 +194,7 @@ def threshold_fyz(m: int, n: int) -> float:
         raise ValueError(f"bound requires n >= 3m+2, got n={n}, m={m}")
     if n == 3 * m + 2:
         return float(2 * m)
-    return 0.5 * (m - 1 + math.sqrt((m - 1) ** 2 + 4 * m * (n - m)))
+    return threshold_match(m, n + 1)  # the split graph K_m v co-K_{n-m}
 
 
 @dataclass(frozen=True)

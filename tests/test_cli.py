@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from linkspec import cli
 from linkspec.cli import main
+from linkspec.constructions import random_3graph
 from linkspec.fileio import parse_instance, serialize
+from linkspec.spectral import spectral_radius
 
 from conftest import FANO_LINES
 
@@ -79,6 +82,23 @@ class TestRho:
         assert res["threshold"] == pytest.approx(4)
         assert res["condition"] == "indeterminate"
         assert len(res["per_vertex"]) == 9
+
+    def test_nonconverged_links_are_indeterminate(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "r.h3"
+        path.write_text(serialize(random_3graph(9, 0.8, 3).hypergraph))
+        args = ("rho", str(path), "--s", "1", "--no-timing")
+        _, out, _ = run(capsys, *args)
+        assert json.loads(out)["results"]["condition"] == "holds"
+
+        def capped(G, tolerance):
+            return spectral_radius(G, tolerance, iteration_cap=2)
+
+        monkeypatch.setattr(cli, "spectral_radius", capped)
+        code, out, _ = run(capsys, *args)
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert not all(x["converged"] for x in res["per_vertex"])
+        assert res["condition"] == "indeterminate"
 
     def test_single_vertex(self, capsys, fano_file):
         code, out, _ = run(capsys, "rho", fano_file, "--vertex", "3", "--no-timing")
@@ -235,6 +255,12 @@ class TestContracts:
         path.write_text("p h3 4 1\ne 1 1 2\n")
         code, _, err = run(capsys, "match", str(path), "--no-timing")
         assert code == 2 and "repeated vertex" in err
+
+    def test_malformed_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "edges": [[1, 2, 5]]}')
+        code, _, err = run(capsys, "match", str(path), "--no-timing")
+        assert code == 2 and "out of range" in err
 
     def test_reports_are_byte_identical(self, capsys, tmp_path):
         path = gen_file(capsys, tmp_path, "h.h3", "--family", "h2", "--s", "2", "--n", "8")

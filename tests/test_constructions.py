@@ -21,7 +21,7 @@ from linkspec.constructions import (
 from linkspec.graphs import link_graph
 from linkspec.lp import fractional_matching
 from linkspec.matching import find_matching_of_size, hitting_set_bound, max_matching_3graph
-from linkspec.spectral import spectral_radius
+from linkspec.spectral import spectral_radius, threshold_match
 
 TOL = 1e-9
 
@@ -192,6 +192,15 @@ class TestComplete:
 
 
 class TestClosedFormConsistency:
+    def test_split_graph_radii_are_threshold_match_exactly(self):
+        for n in range(3, 15):
+            for s in range(0, n + 1):
+                assert split_graph(s, n)[1] == threshold_match(s, n + 1)
+            for s in range(1, n - 1):
+                assert h1(s, n).expected.min_link_rho == threshold_match(s, n)
+            for s in (n - 1, n):  # every link complete
+                assert h1(s, n).expected.min_link_rho == float(n - 2)
+
     def test_h1_formula_vs_paper_constant_at_boundary(self):
         # at s = n/3 - 1 the closed form collapses to 2n/3 - 2 exactly:
         # (s-1)^2 + 4s(2s+2) = (3s+1)^2

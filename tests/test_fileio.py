@@ -81,6 +81,15 @@ class TestParseErrors:
             '{"n": 6, "edges": [[1, 2, 3], [4, 5]]}',
             '{"n": 6, "edges": [[1, 2, 3], [1, 2, 3]]}',
             '{"n": 6, "edges": [[3, 2, 1]]}',
+            '{"n": 3, "edges": [[1, 2, 5]]}',
+            '{"n": -1, "edges": []}',
+            '{"n": true, "edges": []}',
+            '{"n": 3, "edges": [[1, 2, "a"]]}',
+            '{"n": 3, "edges": [[1.0, 2, 3]]}',
+            '{"n": 3, "edges": [[true, 2, 3]]}',
+            '{"n": 3, "edges": [1, 2, 3]}',
+            pytest.param('{"n": 1' + "0" * 5000 + ', "edges": []}', id="huge-int"),
+            pytest.param('{"n": 3, "edges": ' + "[" * 10**5 + "]" * 10**5 + "}", id="deep-nesting"),
         ],
     )
     def test_malformed_json(self, text):

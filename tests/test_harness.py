@@ -259,6 +259,21 @@ class TestAbsorbingSets:
         with pytest.raises(ValueError):
             absorbing_sets(H, (1, 2, 99))
 
+    def test_agrees_with_induced_definition(self):
+        # sparse enough that both the 6-set and the 9-set conditions reject some A
+        rng = random.Random(58)
+        H = rand_3graph(12, 0.2, rng)
+        T = (2, 5, 9)
+        rest = [v for v in range(1, 13) if v not in T]
+        expected = [
+            A
+            for A in combinations(rest, 6)
+            if brute_nu_3graph(induced(H, A)[0]) >= 2
+            and brute_nu_3graph(induced(H, A + T)[0]) >= 3
+        ]
+        assert 0 < len(expected) < comb(9, 6)
+        assert absorbing_sets(H, T) == expected
+
     def test_returned_sets_satisfy_definition(self):
         rng = random.Random(54)
         H = rand_3graph(10, 0.7, rng)

@@ -10,6 +10,8 @@ from linkspec.constructions import split_graph
 from linkspec.graphs import Graph2, complement
 from linkspec.matching import max_matching_graph
 from linkspec.spectral import (
+    DEFAULT_COMPARISON_SLACK,
+    classify_condition,
     hong_bound,
     lemma24_common_edges_check,
     spectral_radius,
@@ -166,6 +168,11 @@ class TestClosedFormBounds:
         with pytest.raises(ValueError):
             threshold_fyz(-1, 5)
 
+    def test_fyz_is_the_split_graph_radius_above_3m_plus_2(self):
+        for m in range(0, 6):
+            for n in range(3 * m + 3, 3 * m + 30):
+                assert threshold_fyz(m, n) == threshold_match(m, n + 1)
+
     def test_fyz_bounds_rho_of_bounded_matching_graphs(self):
         rng = random.Random(28)
         checked = 0
@@ -176,6 +183,22 @@ class TestClosedFormBounds:
                 continue
             assert spectral_radius(G).value <= threshold_fyz(nu, G.n) + TOL
             checked += 1
+
+
+class TestClassifyCondition:
+    @pytest.mark.parametrize("threshold", [0.0, 4.0, 2 * 99 / 3 - 2])
+    @pytest.mark.parametrize("eps", [DEFAULT_COMPARISON_SLACK, 1e-3])
+    def test_slack_edges(self, threshold, eps):
+        upper, lower = threshold + eps, threshold - eps
+        assert classify_condition(math.nextafter(upper, math.inf), threshold, eps, True) == "holds"
+        assert classify_condition(upper, threshold, eps, True) == "indeterminate"
+        assert classify_condition(threshold, threshold, eps, True) == "indeterminate"
+        assert classify_condition(lower, threshold, eps, True) == "indeterminate"
+        assert classify_condition(math.nextafter(lower, -math.inf), threshold, eps, True) == "fails"
+
+    def test_nonconverged_is_indeterminate(self):
+        for min_rho in (0.0, 3.0, 4.0, 5.0, 100.0):
+            assert classify_condition(min_rho, 4.0, 1e-9, False) == "indeterminate"
 
 
 class TestCommonEdgesCheck:
