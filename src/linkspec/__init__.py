@@ -3,7 +3,8 @@
 Library layout:
 
 - :mod:`linkspec.graphs` -- immutable 2-graph / 3-graph types and operations
-- :mod:`linkspec.spectral` -- power-iteration spectral radius and closed-form bounds
+- :mod:`linkspec.spectral` -- certified spectral radii (eigensolver plus exact
+  Collatz-Wielandt brackets), link spectra of a 3-graph, closed-form bounds
 - :mod:`linkspec.matching` -- exact matching numbers (blossom, branch-and-bound)
 - :mod:`linkspec.lp` -- exact rational fractional matching/cover with certificates
 - :mod:`linkspec.constructions` -- extremal families and random instances
@@ -27,9 +28,11 @@ from .graphs import (  # noqa: F401
     remove_vertices,
 )
 from .spectral import (  # noqa: F401
+    LinkSpectra,
     SpectralReport,
     hong_bound,
     lemma24_common_edges_check,
+    link_spectra,
     spectral_radius,
     stanley_bound,
     terpai_gap,

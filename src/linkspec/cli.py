@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 from . import __version__
 from .constructions import complete_3graph, h1, h2, random_3graph
 from .fileio import ParseError, load_instance, save_instance, serialize, serialize_json
-from .graphs import Graph2, Hypergraph3, link_graph
+from .graphs import Graph2, Hypergraph3
 from .harness import (
     MODES,
     check_thm11,
@@ -38,9 +38,9 @@ from .matching import DEFAULT_BUDGET, max_matching_3graph
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
-    classify_condition,
+    exact_threshold_match,
+    link_spectra,
     spectral_radius,
-    threshold_match,
 )
 
 USAGE_ERROR = 1
@@ -140,22 +140,21 @@ def _cmd_rho(args: argparse.Namespace) -> int:
         rep = spectral_radius(obj, args.tol)
         _emit(args, params, {"kind": "graph", "spectral": rep}, started)
         return 0
-    vertices = [args.vertex] if args.vertex else list(range(1, obj.n + 1))
-    per_vertex = []
-    for v in vertices:
-        rep = spectral_radius(link_graph(obj, v)[0], args.tol)
-        per_vertex.append({"vertex": v, "rho": rep.value, "converged": rep.converged})
+    spectra = link_spectra(obj, args.tol, None if args.vertex is None else [args.vertex])
+    per_vertex = [
+        {"vertex": v, "rho": r, "converged": c}
+        for v, r, c in zip(spectra.vertices, spectra.rho, spectra.converged)
+    ]
     results: dict[str, Any] = {
         "kind": "h3-links",
         "n": obj.n,
         "per_vertex": per_vertex,
-        "min_rho": min(x["rho"] for x in per_vertex) if per_vertex else 0.0,
+        "min_rho": min(spectra.rho, default=0.0),
     }
     if args.s is not None:
-        thr = threshold_match(args.s, obj.n)
-        converged = all(x["converged"] for x in per_vertex)
-        results["threshold"] = thr
-        results["condition"] = classify_condition(results["min_rho"], thr, args.eps, converged)
+        thr = exact_threshold_match(args.s, obj.n)
+        results["threshold"] = thr.value
+        results["condition"] = spectra.condition(thr, args.eps)[0]
     _emit(args, params, results, started)
     return 0
 
@@ -184,13 +183,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     H = _load_h3(args.file)
     mode = args.mode.replace("-", "_")
+    spectra = link_spectra(H, args.tol)  # shared by the report and the --gamma section
     rep = verify_theorem(
         H, args.s, mode, budget=args.budget, tolerance=args.tol, eps=args.eps,
-        lp_limit=None if args.limit == 0 else args.limit, instance_id=args.file,
+        lp_limit=None if args.limit == 0 else args.limit, link_rho=spectra, instance_id=args.file,
     )
     results: dict[str, Any] = {"report": rep}
     if args.gamma is not None:
-        cond, mn, thr = check_thm11(H, args.gamma, args.tol, args.eps)
+        cond, mn, thr = check_thm11(H, args.gamma, args.tol, args.eps, spectra)
         results["thm11"] = {"gamma": args.gamma, "threshold": thr, "min_rho": mn, "condition": cond}
     params = {
         "file": args.file, "s": args.s, "mode": args.mode, "gamma": args.gamma,
@@ -271,7 +271,8 @@ def build_parser() -> _Parser:
     def common(p: _Parser, with_limit: bool = False) -> None:
         p.add_argument("-o", "--output", help="write the JSON report to FILE instead of stdout")
         p.add_argument("--no-timing", action="store_true", help="omit the timing field")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="eigensolver tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                       help="bound on the certified error of each spectral radius")
         p.add_argument("--eps", type=float, default=DEFAULT_COMPARISON_SLACK,
                        help="comparison slack for strict inequalities")
         if with_limit:

@@ -4,7 +4,9 @@ Condition checks compare the minimum link spectral radius against the
 matching threshold with a comparison slack: values within the slack of the
 threshold are classified indeterminate, never silently put on either side,
 because the hypotheses are strict inequalities and the extremal families
-sit exactly on the boundary.
+sit exactly on the boundary.  A "holds" or "fails" also needs the exact
+Collatz-Wielandt certificates of the link spectra; without them it is
+indeterminate too.
 
 Verdict semantics: violations of proven statements are tagged
 ``bug_suspect`` (an implementation bug, by definition), violations of the
@@ -46,7 +48,11 @@ from .matching import (
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
+    LinkSpectra,
+    Threshold,
     classify_condition,
+    exact_threshold_match,
+    link_spectra,
     spectral_radius,
     threshold_match,
 )
@@ -83,52 +89,49 @@ class CheckReport:
     instance: Hypergraph3 | None = None
 
 
-def _link_radii(H: Hypergraph3, tolerance: float) -> tuple[list[float], list[int]]:
-    """Spectral radius of each vertex link (index v-1), and the vertices whose
-    power iteration stopped at its cap without converging."""
-    reports = [spectral_radius(link_graph(H, v)[0], tolerance) for v in range(1, H.n + 1)]
-    return [r.value for r in reports], [v for v, r in enumerate(reports, 1) if not r.converged]
-
-
 def check_condition(
     H: Hypergraph3,
     s: int,
     tolerance: float = DEFAULT_TOLERANCE,
     eps: float = DEFAULT_COMPARISON_SLACK,
-    link_rho: Sequence[float] | None = None,
+    link_rho: Sequence[float] | LinkSpectra | None = None,
     instance_id: str = "",
 ) -> CheckReport:
     """Spectral part only: per-vertex link radii, the minimum, and the verdict.
 
-    `link_rho` may supply precomputed per-vertex link spectral radii
-    (index v-1) to skip the eigensolver.  A radius whose power iteration did
-    not converge proves nothing, so any such link makes the condition
-    indeterminate, with a note naming its vertices.
+    The radii come from :func:`link_spectra`, whose exact certificates back
+    every "holds" and "fails"; a verdict they cannot back is
+    "indeterminate", with a note naming the vertices.  `link_rho` may supply
+    the link spectra precomputed, or plain per-vertex radii (index v-1),
+    which are then taken as given.
     """
     if H.n == 0:
         return CheckReport(instance_id, 0, s, None, (), 0.0, 0.0, "fails")
-    nonconverged: list[int] = []
+    threshold = exact_threshold_match(s, H.n)
     if link_rho is None:
-        rhos, nonconverged = _link_radii(H, tolerance)
+        link_rho = link_spectra(H, tolerance)
+    if isinstance(link_rho, LinkSpectra):
+        rhos = list(link_rho.rho)
+        condition, uncertified = link_rho.condition(threshold, eps)
     else:
-        if len(link_rho) != H.n:
-            raise ValueError("link_rho must have one entry per vertex")
         rhos = [float(x) for x in link_rho]
-    min_rho = min(rhos)
-    threshold = threshold_match(s, H.n)
+        condition = classify_condition(min(rhos, default=0.0), threshold.value, eps, True)
+        uncertified: tuple[int, ...] = ()
+    if len(rhos) != H.n:
+        raise ValueError("link_rho must have one entry per vertex")
     notes: tuple[str, ...] = ()
-    if nonconverged:
-        vertices = ", ".join(map(str, nonconverged))
-        notes = (f"indeterminate: link spectral radius did not converge at vertices {vertices}",)
+    if uncertified:
+        vertices = ", ".join(map(str, uncertified))
+        notes = (f"indeterminate: link spectral radius not certified at vertices {vertices}",)
     return CheckReport(
         instance_id=instance_id,
         n=H.n,
         s=s,
         mode=None,
         per_vertex_rho=tuple((v, rhos[v - 1]) for v in range(1, H.n + 1)),
-        min_rho=min_rho,
-        threshold=threshold,
-        condition=classify_condition(min_rho, threshold, eps, not nonconverged),
+        min_rho=min(rhos),
+        threshold=threshold.value,
+        condition=condition,
         notes=notes,
     )
 
@@ -138,18 +141,20 @@ def check_thm11(
     gamma: float,
     tolerance: float = DEFAULT_TOLERANCE,
     eps: float = DEFAULT_COMPARISON_SLACK,
+    link_rho: LinkSpectra | None = None,
 ) -> tuple[str, float, float]:
-    """Three-way verdict for min link rho > (2/3 + gamma) n.
+    """Certified three-way verdict for min link rho > (2/3 + gamma) n.
 
-    The underlying statement is asymptotic; this only reports the condition.
-    A link whose power iteration did not converge makes it indeterminate.
+    The threshold is the exact value of that float.  The underlying
+    statement is asymptotic; this only reports the condition.  `link_rho`
+    may supply the link spectra precomputed.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    rhos, nonconverged = _link_radii(H, tolerance)
-    min_rho = min(rhos) if rhos else 0.0
+    spectra = link_spectra(H, tolerance) if link_rho is None else link_rho
     threshold = (2.0 / 3.0 + gamma) * H.n
-    return classify_condition(min_rho, threshold, eps, not nonconverged), min_rho, threshold
+    condition, _ = spectra.condition(Threshold.of_float(threshold), eps)
+    return condition, min(spectra.rho, default=0.0), threshold
 
 
 def _hypothesis_notes(n: int, s: int, mode: str) -> list[str]:
@@ -171,7 +176,7 @@ def verify_theorem(
     tolerance: float = DEFAULT_TOLERANCE,
     eps: float = DEFAULT_COMPARISON_SLACK,
     lp_limit: int | None = DEFAULT_TRIPLE_LIMIT,
-    link_rho: Sequence[float] | None = None,
+    link_rho: Sequence[float] | LinkSpectra | None = None,
     instance_id: str = "",
 ) -> CheckReport:
     """Check the spectral hypothesis and, when it holds, the exact conclusion."""

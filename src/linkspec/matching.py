@@ -8,6 +8,7 @@ bound, a greedy hitting-set bound, and an optional exact-LP root bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -113,13 +114,25 @@ def _greedy_hitting_bound(edge_masks: list[int], n: int) -> int:
     return size
 
 
-def _greedy_matching(edges: tuple[Triple, ...]) -> list[Triple]:
-    used: set[int] = set()
-    out = []
-    for e in edges:
-        if not used & set(e):
+def _greedy_matching(edges: tuple[Triple, ...], n: int) -> list[Triple]:
+    """First-fit matching over the sorted edges.
+
+    Edges whose first vertex is taken are skipped as one block, and the scan
+    ends once fewer than 3 vertices are free: no edge after either can fit.
+    """
+    used = 0
+    out: list[Triple] = []
+    i = 0
+    while i < len(edges) and n - 3 * len(out) >= 3:
+        e = edges[i]
+        a, b, c = e
+        if used >> a & 1:
+            i = bisect_left(edges, (a + 1,), i)
+            continue
+        if not (used >> b & 1 or used >> c & 1):
             out.append(e)
-            used.update(e)
+            used |= 1 << a | 1 << b | 1 << c
+        i += 1
     return out
 
 
@@ -141,14 +154,14 @@ def max_matching_3graph(
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    edge_masks = [sum(1 << (v - 1) for v in e) for e in H.edges]
-    full = (1 << H.n) - 1
-
-    greedy = _greedy_matching(H.edges)
+    greedy = _greedy_matching(H.edges, H.n)
     best_size = len(greedy)
     best_edges = list(greedy)
     if target is not None and best_size >= target:
         return Matching3Result(best_size, Matching3(tuple(best_edges)), False, 0)
+
+    edge_masks = [sum(1 << (v - 1) for v in e) for e in H.edges]
+    full = (1 << H.n) - 1
 
     root_ub = min(H.n // 3, _greedy_hitting_bound(edge_masks, H.n) if H.m else 0)
     if lp_root_bound and H.m and comb(H.n, 3) <= DEFAULT_TRIPLE_LIMIT:

@@ -1,29 +1,50 @@
 """Spectral radius computation and the closed-form spectral bounds.
 
-The eigensolver is power iteration on A + I run per connected component
-with an all-ones start vector.  The +I shift keeps bipartite components
-from stalling on a +-lambda eigenvalue pair, and the all-ones start has
-positive overlap with the Perron vector of every component.
+Radii come from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``), and
+each one is bracketed in exact arithmetic by the Collatz-Wielandt bounds for
+nonnegative matrices (Horn & Johnson, *Matrix Analysis*, ch. 8): for an
+integer vector x >= 0, x != 0, rho(A) >= min (Ax)_i / x_i over the support
+of x, and for x > 0, rho(A) <= max (Ax)_i / x_i.  The lower vector is the
+rounded Perron vector, the upper one the rounded resolvent
+(t I - A)^-1 1 at t = rho + tolerance/2, which is positive whenever
+rho(A) < t, so neither needs a component split; both come from the one
+eigendecomposition.  Ax is formed in int64 and every bound is proven, and
+compared with a threshold, in exact arithmetic: no rounded float enters a
+certified decision.
+
+:func:`link_spectra` runs this for every vertex link of a 3-graph at once:
+the edge array is scattered into dense 0/1 link matrices a chunk of
+vertices at a time, with one batched eigensolve per chunk.  A link keeps
+only the vertices that lie on its edges, which leaves its radius unchanged
+and keeps sparse links small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph2, complement
+from .graphs import Graph2, Hypergraph3, complement
 
 DEFAULT_TOLERANCE = 1e-10
-DEFAULT_ITERATION_CAP = 10**6
 #: slack used by callers to classify strict inequalities robustly
 DEFAULT_COMPARISON_SLACK = 1e-9
+#: bytes of dense float64 link matrices held at once by link_spectra
+LINK_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Largest adjacency eigenvalue with convergence diagnostics."""
+    """Largest adjacency eigenvalue with its certified error.
+
+    `residual` is a proven bound on |value - rho(G)|, from the exact
+    Collatz-Wielandt bracket (inf when no bracket was found); `iterations`
+    counts eigensolves (0 for an edgeless graph).
+    """
 
     value: float
     residual: float
@@ -34,6 +55,34 @@ class SpectralReport:
     @property
     def converged(self) -> bool:
         return self.residual <= self.tolerance
+
+
+@dataclass(frozen=True)
+class Threshold:
+    """The exact number (a + sqrt(d)) / b, with integers d >= 0 and b > 0."""
+
+    a: int
+    d: int
+    b: int
+
+    @classmethod
+    def of_float(cls, x: float) -> "Threshold":
+        """The exact rational value of the float x."""
+        p, q = x.as_integer_ratio()
+        return cls(p, 0, q)
+
+    @property
+    def value(self) -> float:
+        return (self.a + math.sqrt(self.d)) / self.b
+
+    def sign(self, x: float) -> int:
+        """Sign of the exact value of x minus this number."""
+        p, q = x.as_integer_ratio()  # x - (a + sqrt(d))/b has the sign of L - sqrt(d) q
+        L = self.b * p - self.a * q
+        R2 = self.d * q * q
+        if L <= 0:
+            return -1 if L < 0 or R2 > 0 else 0
+        return (L * L > R2) - (L * L < R2)
 
 
 def _components(G: Graph2) -> list[list[int]]:
@@ -62,65 +111,172 @@ def _components(G: Graph2) -> list[list[int]]:
     return comps
 
 
-def _power_iteration(B: np.ndarray, tol: float, cap: int) -> tuple[float, float, int]:
-    """Power iteration on the nonnegative matrix B from the all-ones vector.
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
-    Returns (rayleigh quotient, infinity-norm residual, iterations).  The
-    residual may exceed tol if the cap is hit; the caller reports it as is.
+
+def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a stack of symmetric matrices."""
+    return np.linalg.eigh(A)
+
+
+def _ratio_bounds(num: np.ndarray, den: np.ndarray, lowest: bool) -> np.ndarray:
+    """Per row, a float at most (lowest) or at least every num_i / den_i with den_i > 0.
+
+    The float extreme, widened by 2^-48 relative (more than its rounding
+    error), is the candidate; cross-multiplying in Python integers proves
+    it.  A row whose candidate fails gets the trivial bound: 0 below, inf
+    above.
     """
-    k = B.shape[0]
-    x = np.full(k, 1.0 / math.sqrt(k))
-    lam = 0.0
-    res = math.inf
-    iters = 0
-    dot = np.dot
-    while iters < cap:
-        y = dot(B, x)
-        iters += 1
-        lam = float(dot(x, y))
-        res = float(abs(y - lam * x).max())
-        if res <= tol:
-            break
-        x = y / math.sqrt(float(dot(y, y)))
-    return lam, res, iters
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+    r[den == 0] = np.inf if lowest else -np.inf
+    q = r.min(axis=1) * (1 - 2.0**-48) if lowest else r.max(axis=1) * (1 + 2.0**-48)
+    ratios = [x.as_integer_ratio() if math.isfinite(x) else (1, 0) for x in q.tolist()]
+    p = np.array([[a] for a, _ in ratios], dtype=object)
+    d = np.array([[b] for _, b in ratios], dtype=object)
+    lhs, rhs = num.astype(object) * d, den.astype(object) * p
+    ok = ((lhs >= rhs) if lowest else (lhs <= rhs)).all(axis=1) & np.isfinite(q)
+    return np.where(ok, q, 0.0 if lowest else np.inf)
 
 
-def spectral_radius(
-    G: Graph2,
+def _certified_radii(A: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii of a stack of symmetric 0/1 matrices with exact lower and upper bounds.
+
+    The bounds are floats whose exact values bracket each radius.  An upper
+    bound is inf where the resolvent vector is not positive: the radius is
+    not below rho + tolerance/2, or tolerance is below what the eigensolver
+    resolves.
+    """
+    k, n, _ = A.shape
+    bits = min(52, 63 - n.bit_length())  # entries <= 2^bits keep Ax below 2^63
+    scale = float(1 << bits)
+    w, U = _eigh(A)
+    rho = np.maximum(w[:, -1], 0.0) + 0.0  # never -0.0
+    Ai = A.astype(np.int64)
+    # entries below 2^-20 of the scale are eigensolver noise on padding or on
+    # other components; left in, they would pull the lower bound to 0
+    x = np.rint(np.abs(U[:, :, -1]) * scale).astype(np.int64)
+    x[x < 1 << (bits - 20)] = 0
+    lower = _ratio_bounds(np.matmul(Ai, x[:, :, None])[:, :, 0], x, lowest=True)
+    # (tI - A)^-1 1 = U diag(1 / (t - w)) U^T 1, from the eigensolve already made
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = U.sum(axis=1) / ((rho + tolerance / 2)[:, None] - w)
+        y = np.matmul(U, d[:, :, None])[:, :, 0]
+    positive = np.isfinite(y).all(axis=1) & (y > 0).all(axis=1)
+    y[~positive] = 1.0
+    Y = np.rint(y / y.max(axis=1)[:, None] * scale).astype(np.int64)
+    positive &= (Y > 0).all(axis=1)
+    upper = _ratio_bounds(np.matmul(Ai, Y[:, :, None])[:, :, 0], Y, lowest=False)
+    return rho, lower, np.where(positive, upper, np.inf)
+
+
+def _within(rho: float, lower: float, upper: float, tolerance: float) -> bool:
+    """Whether [lower, upper] lies within tolerance of rho, exactly.
+
+    fsum rounds the exact sum of its floats correctly, so its sign is exact.
+    """
+    return math.fsum((lower, tolerance, -rho)) >= 0 and math.fsum((rho, tolerance, -upper)) >= 0
+
+
+@dataclass(frozen=True)
+class LinkSpectra:
+    """Link spectral radii of a 3-graph with their certified brackets.
+
+    The true radius of the link of vertices[i] lies in the exact values of
+    [lower[i], upper[i]] (upper[i] is inf where no upper certificate was
+    found); converged[i] says that this bracket lies within `tolerance` of
+    rho[i].
+    """
+
+    vertices: tuple[int, ...]
+    rho: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    converged: tuple[bool, ...]
+    tolerance: float
+
+    def condition(self, threshold: Threshold, eps: float) -> tuple[str, tuple[int, ...]]:
+        """Certified verdict on min rho > threshold, and the vertices that could not back it.
+
+        The float rule :func:`classify_condition` gives the candidate verdict.
+        "holds" needs every lower bound above the threshold, "fails" some
+        upper bound below it, and either needs every link converged;
+        otherwise the verdict is "indeterminate".
+        """
+        min_rho = min(self.rho, default=0.0)
+        verdict = classify_condition(min_rho, threshold.value, eps, True)
+        bad = {v for v, ok in zip(self.vertices, self.converged) if not ok}
+        if verdict == "holds":
+            bad.update(v for v, lo in zip(self.vertices, self.lower) if threshold.sign(lo) <= 0)
+        elif verdict == "fails" and not any(
+            hi < math.inf and threshold.sign(hi) < 0 for hi in self.upper
+        ):
+            bad.update(v for v, r in zip(self.vertices, self.rho) if r == min_rho)
+        return classify_condition(min_rho, threshold.value, eps, not bad), tuple(sorted(bad))
+
+
+def link_spectra(
+    H: Hypergraph3,
     tolerance: float = DEFAULT_TOLERANCE,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-) -> SpectralReport:
-    """Largest eigenvalue of A(G), computed per connected component.
+    vertices: Sequence[int] | None = None,
+) -> LinkSpectra:
+    """Certified spectral radii of the links of `vertices` (default: all of H)."""
+    _check_tolerance(tolerance)
+    n = H.n
+    vs = tuple(range(1, n + 1)) if vertices is None else tuple(vertices)
+    for v in vs:
+        H._check_vertex(v)
+    E = np.fromiter(chain.from_iterable(H.edges), dtype=np.intp, count=3 * H.m).reshape(-1, 3) - 1
+    slot = np.full(n, -1, dtype=np.intp)  # position of a vertex's link in the current chunk
+    per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
+    rho: list[float] = []
+    lower: list[float] = []
+    upper: list[float] = []
+    for start in range(0, len(vs), per_chunk):
+        chunk = np.array(vs[start : start + per_chunk], dtype=np.intp) - 1
+        slot[:] = -1
+        slot[chunk] = np.arange(len(chunk))
+        pairs = []
+        for c, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):  # v = e[c], the pair is e[p], e[q]
+            e = E[slot[E[:, c]] >= 0]
+            pairs.append((slot[e[:, c]], e[:, p], e[:, q]))
+        k, a, b = (np.concatenate(x) for x in zip(*pairs))
+        # isolated vertices add only zero eigenvalues, so each link keeps just
+        # its other vertices, in order (padded to the chunk's largest link)
+        present = np.zeros((len(chunk), n), dtype=bool)
+        present[k, a] = present[k, b] = True
+        rank = np.cumsum(present, axis=1) - 1
+        size = max(1, int(present.sum(axis=1).max()))
+        A = np.zeros((len(chunk), size, size))
+        A[k, rank[k, a], rank[k, b]] = A[k, rank[k, b], rank[k, a]] = 1.0
+        r, lo, hi = _certified_radii(A, tolerance)
+        rho += r.tolist()
+        lower += lo.tolist()
+        upper += hi.tolist()
+    converged = tuple(_within(*b, tolerance) for b in zip(rho, lower, upper))
+    return LinkSpectra(vs, tuple(rho), tuple(lower), tuple(upper), converged, tolerance)
 
-    Deterministic for a given (G, tolerance).  On non-convergence within
-    the iteration cap the best Rayleigh quotient is reported with its
-    residual; callers can inspect ``report.converged``.
+
+def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> SpectralReport:
+    """Largest eigenvalue of A(G) with a certified error bound.
+
+    Deterministic for a given (G, tolerance); `report.converged` says that
+    the proven error is at most `tolerance`.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     comps = _components(G)
     if G.m == 0:
         return SpectralReport(0.0, 0.0, 0, tolerance, len(comps))
     ea = np.asarray(G.edges) - 1
-    A = np.zeros((G.n, G.n))
-    A[ea[:, 0], ea[:, 1]] = 1.0
-    A[ea[:, 1], ea[:, 0]] = 1.0
-    best = 0.0
-    best_res = 0.0
-    total_iters = 0
-    for comp in comps:
-        if len(comp) < 2:
-            continue
-        idx = sorted(comp)
-        B = A[np.ix_(idx, idx)].copy()
-        np.fill_diagonal(B, 1.0)  # the +I shift
-        lam, res, iters = _power_iteration(B, tolerance, iteration_cap)
-        total_iters += iters
-        value = lam - 1.0
-        if value > best:
-            best = value
-            best_res = res
-    return SpectralReport(best, best_res, total_iters, tolerance, len(comps))
+    A = np.zeros((1, G.n, G.n))
+    A[0, ea[:, 0], ea[:, 1]] = 1.0
+    A[0, ea[:, 1], ea[:, 0]] = 1.0
+    (value,), (lo,), (hi,) = (a.tolist() for a in _certified_radii(A, tolerance))
+    # fsum rounds the exact difference to nearest; one step up keeps the bound proven
+    err = max(math.fsum((value, -lo)), math.fsum((hi, -value)))
+    return SpectralReport(value, math.nextafter(err, math.inf), 1, tolerance, len(comps))
 
 
 def stanley_bound(m: int) -> float:
@@ -165,19 +321,24 @@ def terpai_gap(
     return (4.0 * G.n / 3.0 - 1.0) - (rho + rho_c)
 
 
-def threshold_match(s: int, n: int) -> float:
-    """Link threshold for a matching of size s+1 on n vertices: rho(K_s v co-K_{n-s-1})."""
+def exact_threshold_match(s: int, n: int) -> Threshold:
+    """Link threshold for a matching of size s+1 on n vertices: rho(K_s v co-K_{n-s-1}), exactly."""
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if n < s + 1:
         raise ValueError(f"need n >= s+1, got n={n}, s={s}")
-    return 0.5 * (s - 1 + math.sqrt((s - 1) ** 2 + 4 * s * (n - s - 1)))
+    return Threshold(s - 1, (s - 1) ** 2 + 4 * s * (n - s - 1), 2)
 
 
-def classify_condition(min_rho: float, threshold: float, eps: float, converged: bool) -> str:
-    """Three-way verdict for min_rho > threshold: within `eps` of it, or from a
-    non-converged radius, the answer is "indeterminate"."""
-    if not converged:
+def threshold_match(s: int, n: int) -> float:
+    """Link threshold for a matching of size s+1 on n vertices: rho(K_s v co-K_{n-s-1})."""
+    return exact_threshold_match(s, n).value
+
+
+def classify_condition(min_rho: float, threshold: float, eps: float, certified: bool) -> str:
+    """Three-way verdict for min_rho > threshold: within `eps` of it, or where
+    the radii cannot certify the verdict, the answer is "indeterminate"."""
+    if not certified:
         return "indeterminate"
     if min_rho > threshold + eps:
         return "holds"

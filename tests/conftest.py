@@ -1,14 +1,16 @@
 """Shared independent oracles and instance generators for the test suite.
 
 The oracles here deliberately re-derive quantities with methods different
-from the library's (dense eigensolver vs power iteration, exhaustive
-recursion vs branch-and-bound / blossom, rational-tableau simplex vs the
+from the library's (a plain dense eigenvalue solve and power iteration vs
+the certified eigensolver brackets, exhaustive recursion vs
+branch-and-bound / blossom, rational-tableau simplex vs the
 integer-pivoting one, dominance scan vs elementary moves), so agreement
 between the two routes is meaningful.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,21 +18,70 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from linkspec import spectral
 from linkspec.graphs import Graph2, Hypergraph3
 
 
 # ---------------------------------------------------------------------------
-# Spectral oracle: dense symmetric eigensolver, independent of power iteration.
+# Spectral oracles: a dense eigenvalue-only solve, and power iteration, which
+# shares no code with LAPACK.
+
+
+def _adjacency(G: Graph2) -> np.ndarray:
+    A = np.zeros((G.n, G.n))
+    for a, b in G.edges:
+        A[a - 1, b - 1] = A[b - 1, a - 1] = 1.0
+    return A
 
 
 def eig_rho(G: Graph2) -> float:
     """Largest adjacency eigenvalue via numpy's dense symmetric eigensolver."""
     if G.n == 0:
         return 0.0
-    A = np.zeros((G.n, G.n))
-    for a, b in G.edges:
-        A[a - 1, b - 1] = A[b - 1, a - 1] = 1.0
-    return max(0.0, float(np.linalg.eigvalsh(A)[-1]))
+    return max(0.0, float(np.linalg.eigvalsh(_adjacency(G))[-1]))
+
+
+def power_rho(G: Graph2, tol: float = 1e-12, cap: int = 10**6) -> float:
+    """Largest adjacency eigenvalue by power iteration on A + I from the all-ones vector.
+
+    The +I shift keeps bipartite components from stalling on a +-rho
+    eigenvalue pair, and the all-ones start overlaps the Perron vector of
+    every component.  Raises if the residual is not below tol within cap
+    iterations.
+    """
+    if G.m == 0:
+        return 0.0
+    B = _adjacency(G) + np.eye(G.n)
+    x = np.full(G.n, 1.0 / math.sqrt(G.n))
+    for _ in range(cap):
+        y = B @ x
+        lam = float(x @ y)
+        if float(abs(y - lam * x).max()) <= tol:
+            return lam - 1.0
+        x = y / math.sqrt(float(y @ y))
+    raise ArithmeticError(f"power iteration did not converge in {cap} iterations")
+
+
+def uncertifiable_links(monkeypatch: pytest.MonkeyPatch, vertices: set[int], n: int) -> None:
+    """Make the eigensolver return a useless Perron vector for the links of `vertices`.
+
+    The vector is a unit vector, whose one Collatz-Wielandt ratio is a
+    diagonal entry, 0, so the lower bound is 0: the link can back neither a
+    verdict nor a tolerance.  Assumes all n links of an instance go through
+    one eigensolve, in vertex order.
+    """
+    real = spectral._eigh
+
+    def eigh(A):
+        w, U = real(A)
+        if A.shape[0] == n:
+            U = U.copy()
+            for v in vertices:
+                U[v - 1, :, -1] = 0.0
+                U[v - 1, 0, -1] = 1.0
+        return w, U
+
+    monkeypatch.setattr(spectral, "_eigh", eigh)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from linkspec import cli
+from linkspec import cli, harness
 from linkspec.cli import main
 from linkspec.constructions import random_3graph
 from linkspec.fileio import parse_instance, serialize
-from linkspec.spectral import spectral_radius
-
-from conftest import FANO_LINES
+from conftest import FANO_LINES, uncertifiable_links
 
 
 def run(capsys, *argv):
@@ -90,20 +88,23 @@ class TestRho:
         _, out, _ = run(capsys, *args)
         assert json.loads(out)["results"]["condition"] == "holds"
 
-        def capped(G, tolerance):
-            return spectral_radius(G, tolerance, iteration_cap=2)
-
-        monkeypatch.setattr(cli, "spectral_radius", capped)
+        uncertifiable_links(monkeypatch, {4}, 9)
         code, out, _ = run(capsys, *args)
         res = json.loads(out)["results"]
         assert code == 0
-        assert not all(x["converged"] for x in res["per_vertex"])
+        assert [x["vertex"] for x in res["per_vertex"] if not x["converged"]] == [4]
         assert res["condition"] == "indeterminate"
 
     def test_single_vertex(self, capsys, fano_file):
         code, out, _ = run(capsys, "rho", fano_file, "--vertex", "3", "--no-timing")
         rep = json.loads(out)
         assert code == 0 and len(rep["results"]["per_vertex"]) == 1
+
+    def test_vertex_out_of_range(self, capsys, fano_file):
+        for v in ("0", "8", "-1"):
+            code, out, err = run(capsys, "rho", fano_file, "--vertex", v, "--no-timing")
+            assert code == 1 and out == ""
+            assert f"vertex {v} out of range 1..7" in err
 
     def test_graph_file(self, capsys, tmp_path):
         path = tmp_path / "g.edge"
@@ -157,6 +158,16 @@ class TestCheck:
         )
         rep = json.loads(out)
         assert code == 0 and rep["results"]["thm11"]["condition"] == "holds"
+
+    def test_gamma_section_reuses_the_link_spectra(self, capsys, tmp_path, monkeypatch):
+        path = gen_file(capsys, tmp_path, "k9.h3", "--family", "complete", "--n", "9")
+        calls = []
+        for module in (cli, harness):
+            real = module.link_spectra
+            counted = lambda *a, real=real: calls.append(a) or real(*a)  # noqa: E731
+            monkeypatch.setattr(module, "link_spectra", counted)
+        code, _, _ = run(capsys, "check", path, "--s", "2", "--mode", "thm13", "--gamma", "0.05")
+        assert code == 0 and len(calls) == 1
 
     def test_strict_exit_on_out_of_range_counterexample(self, capsys, tmp_path):
         # n=5 < 3s+3 is conjecture territory by construction: the spectral

@@ -34,9 +34,9 @@ from linkspec.harness import (
 )
 from linkspec.lp import fractional_matching
 from linkspec.matching import max_matching_3graph
-from linkspec.spectral import spectral_radius
+from linkspec.spectral import link_spectra, spectral_radius
 
-from conftest import brute_nu_3graph, rand_3graph, ref_shift_closure_holds
+from conftest import brute_nu_3graph, rand_3graph, ref_shift_closure_holds, uncertifiable_links
 
 
 class TestCheckCondition:
@@ -61,22 +61,38 @@ class TestCheckCondition:
         assert check_condition(H, 1).condition == "holds"
         assert check_thm11(H, 0.05)[0] == "fails"
 
-        def capped(G, tolerance):
-            return spectral_radius(G, tolerance, iteration_cap=2)
-
-        stalled = [v for v in range(1, 10) if not capped(link_graph(H, v)[0], 1e-10).converged]
-        assert stalled
-        monkeypatch.setattr(harness, "spectral_radius", capped)
+        stalled = {2, 7}
+        uncertifiable_links(monkeypatch, stalled, H.n)
+        spectra = link_spectra(H)
+        unconverged = [v for v, ok in zip(spectra.vertices, spectra.converged) if not ok]
+        assert unconverged == sorted(stalled)
         rep = check_condition(H, 1)
         assert rep.condition == "indeterminate"
         assert rep.notes == (
-            "indeterminate: link spectral radius did not converge at vertices "
-            + ", ".join(map(str, stalled)),
+            "indeterminate: link spectral radius not certified at vertices "
+            + ", ".join(map(str, sorted(stalled))),
         )
         full = verify_theorem(H, 1, "thm13")
         assert full.condition == "indeterminate" and full.verdict == "skipped"
         assert rep.notes[0] in full.notes
         assert check_thm11(H, 0.05)[0] == "indeterminate"
+
+    def test_exact_ties_are_never_certified(self):
+        # h1's minimum link radius equals the threshold exactly, so with no
+        # slack the float rule may say either side, but no certificate backs it
+        for s in range(1, 5):
+            for n in range(3 * s + 3, 3 * s + 12):
+                assert check_condition(h1(s, n).hypergraph, s, eps=0).condition == "indeterminate"
+                assert check_condition(h2(s, n).hypergraph, s, eps=0).condition == "fails"
+
+    def test_precomputed_spectra_are_used(self, monkeypatch):
+        H = random_3graph(9, 0.8, 3).hypergraph
+        spectra = link_spectra(H)
+        monkeypatch.setattr(harness, "link_spectra", None)  # any further eigensolve fails
+        rep = check_condition(H, 1, link_rho=spectra)
+        assert rep.condition == "holds" and rep.min_rho == min(spectra.rho)
+        assert check_thm11(H, 0.05, link_rho=spectra)[0] == "fails"
+        assert verify_theorem(H, 1, "thm13", link_rho=spectra).verdict == "consistent"
 
     def test_precomputed_rho_is_honored(self):
         H = complete_3graph(6).hypergraph

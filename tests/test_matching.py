@@ -110,6 +110,25 @@ class TestThreeGraphMatching:
         assert decided and witness is None
 
 
+    def test_target_witness_is_the_first_fit_matching(self):
+        # the early return at `target` hands back the first-fit matching over
+        # the sorted edges, whole: reports print it as the witness
+        def first_fit(H):
+            used, out = set(), []
+            for e in H.edges:
+                if used.isdisjoint(e):
+                    out.append(e)
+                    used.update(e)
+            return tuple(out)
+
+        rng = random.Random(36)
+        for _ in range(60):
+            H = rand_3graph(rng.randint(3, 14), rng.random(), rng)
+            res = max_matching_3graph(H, target=1)
+            if H.m:
+                assert res.matching.edges == first_fit(H) and res.nodes == 0
+
+
 class TestHittingSetBound:
     def test_extremal_certificates(self):
         assert hitting_set_bound(h1(3, 12).hypergraph, range(1, 4)) == 3

@@ -2,18 +2,24 @@
 
 import math
 import random
+import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from linkspec.constructions import split_graph
-from linkspec.graphs import Graph2, complement
+from linkspec import spectral
+from linkspec.constructions import complete_3graph, h1, random_3graph, split_graph
+from linkspec.graphs import Graph2, Hypergraph3, complement, link_graph
 from linkspec.matching import max_matching_graph
 from linkspec.spectral import (
     DEFAULT_COMPARISON_SLACK,
+    Threshold,
     classify_condition,
+    exact_threshold_match,
     hong_bound,
     lemma24_common_edges_check,
+    link_spectra,
     spectral_radius,
     stanley_bound,
     terpai_gap,
@@ -21,7 +27,7 @@ from linkspec.spectral import (
     threshold_match,
 )
 
-from conftest import eig_rho, rand_graph
+from conftest import eig_rho, power_rho, rand_3graph, rand_graph
 
 TOL = 1e-9
 
@@ -73,6 +79,40 @@ class TestSpectralRadius:
             G = rand_graph(rng.randint(2, 13), rng.random(), rng)
             assert spectral_radius(G).value == pytest.approx(eig_rho(G), abs=1e-8)
 
+    def test_agrees_with_power_iteration(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            G = rand_graph(rng.randint(2, 13), rng.random(), rng)
+            assert spectral_radius(G).value == pytest.approx(power_rho(G), abs=1e-9)
+
+    def test_residual_bounds_the_error(self):
+        rng = random.Random(30)
+        for _ in range(80):
+            G = rand_graph(rng.randint(2, 30), rng.random(), rng)
+            rep = spectral_radius(G)
+            assert rep.converged and rep.iterations == (1 if G.m else 0)
+            assert abs(rep.value - eig_rho(G)) <= rep.residual + 1e-12
+
+    def test_near_degenerate_link(self):
+        # two K_80 joined by an edge, one edge removed: the top two eigenvalues
+        # nearly coincide, which took power iteration 37 585 iterations
+        K = list(combinations(range(1, 81), 2))
+        edges = K[1:] + [(a + 80, b + 80) for a, b in K] + [(80, 81)]
+        G = Graph2(160, tuple(sorted(edges)))
+        started = time.perf_counter()
+        rep = spectral_radius(G)
+        assert time.perf_counter() - started < 5.0  # one eigensolve, about 10 ms
+        assert rep.converged and rep.iterations == 1
+        assert rep.value == pytest.approx(eig_rho(G), abs=1e-9)
+
+    def test_tolerance_below_the_float_resolution_is_not_converged(self):
+        rep = spectral_radius(complete_graph(6), tolerance=1e-17)
+        assert not rep.converged
+        assert rep.value == pytest.approx(5, abs=1e-12)
+        # the shift rho + tolerance/2 rounds to rho = 1: an exactly singular resolvent
+        rep = spectral_radius(path(2), tolerance=1e-17)
+        assert rep.value == 1.0 and rep.residual == math.inf and not rep.converged
+
     def test_bipartite_components_converge(self):
         # disjoint union of two paths: plain power iteration on A would stall
         G = Graph2(6, ((1, 2), (3, 4), (4, 5), (5, 6)))
@@ -110,6 +150,89 @@ class TestSpectralRadius:
             assert spectral_radius(Graph2(G.n, edges)).value == pytest.approx(
                 spectral_radius(G).value, abs=1e-10
             )
+
+
+class TestLinkSpectra:
+    def test_certified_bounds_bracket_the_radius(self):
+        rng = random.Random(31)
+        slack = 1e-12  # the oracles' own rounding
+        for _ in range(40):
+            H = rand_3graph(rng.randint(1, 12), rng.random(), rng)
+            spectra = link_spectra(H)
+            for v, rho, lo, hi, ok in zip(
+                spectra.vertices, spectra.rho, spectra.lower, spectra.upper, spectra.converged
+            ):
+                exact = eig_rho(link_graph(H, v)[0])
+                assert lo <= exact + slack and exact <= hi + slack
+                assert ok and hi - lo <= spectra.tolerance
+                assert rho == pytest.approx(exact, abs=1e-12)
+
+    def test_radii_match_the_link_graphs(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            H = rand_3graph(rng.randint(1, 10), rng.random(), rng)
+            spectra = link_spectra(H)
+            assert spectra.vertices == tuple(range(1, H.n + 1))
+            for v, rho in zip(spectra.vertices, spectra.rho):
+                assert rho == pytest.approx(spectral_radius(link_graph(H, v)[0]).value, abs=1e-12)
+
+    def test_chunks_and_vertex_subsets(self, monkeypatch):
+        H = random_3graph(11, 0.6, 5).hypergraph
+        whole = link_spectra(H)
+        monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 3 * 8 * 11 * 11)  # three links per chunk
+        assert link_spectra(H) == whole
+        some = link_spectra(H, vertices=[9, 2])
+        assert some.vertices == (9, 2)
+        assert some.rho == (whole.rho[8], whole.rho[1])
+
+    def test_validation(self):
+        H = complete_3graph(5).hypergraph
+        with pytest.raises(ValueError, match="vertex 0 out of range 1..5"):
+            link_spectra(H, vertices=[0])
+        for tolerance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                link_spectra(H, tolerance=tolerance)
+        empty = link_spectra(Hypergraph3(0, ()))
+        assert empty.rho == () and empty.condition(Threshold(0, 0, 1), 0.0)[0] == "indeterminate"
+
+    def test_condition_certificates(self):
+        K9 = link_spectra(complete_3graph(9).hypergraph)  # every link is K_8: rho = 7
+        assert K9.condition(Threshold(13, 0, 2), 1e-9) == ("holds", ())
+        assert K9.condition(Threshold(15, 0, 2), 1e-9) == ("fails", ())
+        assert K9.condition(Threshold(7, 0, 1), 1e-9) == ("indeterminate", ())
+        # with no slack the float rule may pick a side of the exact tie; no certificate backs it
+        for b in (1, 2, 3):
+            cond, bad = K9.condition(Threshold(7 * b, 0, b), 0.0)
+            assert cond == "indeterminate"
+        H = h1(2, 9).hypergraph  # minimum link radius equals the threshold, an irrational
+        cond, bad = link_spectra(H).condition(exact_threshold_match(2, 9), 0.0)
+        assert cond == "indeterminate"
+
+
+class TestThreshold:
+    def test_exact_sign(self):
+        t = Threshold(1, 8, 2)  # (1 + 2 sqrt 2) / 2 = 1.9142...
+        assert t.value == pytest.approx((1 + math.sqrt(8)) / 2)
+        assert t.sign(1.9142) == -1 and t.sign(1.9143) == 1
+        f = Fraction(t.value)  # the float lies on one side of the irrational value
+        assert t.sign(t.value) == (1 if (2 * f - 1) ** 2 > 8 else -1)
+        assert Threshold(1, 9, 2).sign(2.0) == 0  # (1 + 3) / 2
+        assert Threshold(-1, 1, 2).sign(0.0) == 0
+        assert Threshold(-3, 1, 1).sign(-2.0) == 0
+        assert Threshold(-3, 1, 1).sign(-2.5) == -1
+
+    def test_of_float_is_exact(self):
+        x = (2 / 3 + 0.05) * 12
+        t = Threshold.of_float(x)
+        assert t.value == x and t.sign(x) == 0
+        assert t.sign(math.nextafter(x, math.inf)) == 1
+        assert t.sign(math.nextafter(x, -math.inf)) == -1
+
+    def test_match_threshold_is_the_float_formula(self):
+        for n in range(1, 40):
+            for s in range(0, n):
+                D = (s - 1) ** 2 + 4 * s * (n - s - 1)
+                assert threshold_match(s, n) == 0.5 * (s - 1 + math.sqrt(D))
 
 
 class TestClosedFormBounds:
