@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .constructions import complete_3graph, h1, h2, random_3graph
-from .fileio import ParseError, load_instance, save_instance, serialize, serialize_json
+from .fileio import ParseError, edge_lists, load_instance, save_instance, serialize, serialize_json
 from .graphs import Graph2, Hypergraph3
 from .harness import (
     MODES,
@@ -65,7 +65,7 @@ def _jsonable(obj: Any) -> Any:
             return int(obj)
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (Hypergraph3, Graph2)):
-        return {"n": obj.n, "edges": [list(e) for e in obj.edges]}
+        return {"n": obj.n, "edges": edge_lists(obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):

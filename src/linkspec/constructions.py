@@ -11,9 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, repeat, starmap
 from math import comb
 from typing import Iterator
+
+import numpy as np
 
 from .graphs import Graph2, Hypergraph3
 from .spectral import threshold_match
@@ -41,7 +44,7 @@ def complete_3graph(n: int) -> LabeledInstance:
     """All triples on n vertices."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    H = Hypergraph3(n, tuple(combinations(range(1, n + 1), 3)))
+    H = Hypergraph3(n, lex_triple_array(n))
     exp = Expected(
         min_link_rho=float(n - 2) if n >= 2 else 0.0,
         nu=n // 3,
@@ -64,8 +67,8 @@ def h1(s: int, n: int) -> LabeledInstance:
         raise ValueError(f"need n >= 3, got {n}")
     if s > n:
         raise ValueError(f"need s <= n, got s={s}, n={n}")
-    edges = [e for e in combinations(range(1, n + 1), 3) if e[0] <= s]
-    H = Hypergraph3(n, tuple(edges))
+    T = lex_triple_array(n)
+    H = Hypergraph3(n, T[T[:, 0] <= s])
     exp = Expected(
         # h1(s, n) is complete for s >= n-2; the cap keeps threshold_match's n >= s+1
         min_link_rho=threshold_match(min(s, n - 1), n),
@@ -90,12 +93,8 @@ def h2(s: int, n: int) -> LabeledInstance:
     if 2 * s - 1 > n:
         raise ValueError(f"need 2s-1 <= n, got s={s}, n={n}")
     hubs = 2 * s - 1
-    edges = [
-        e
-        for e in combinations(range(1, n + 1), 3)
-        if sum(1 for v in e if v <= hubs) >= 2
-    ]
-    H = Hypergraph3(n, tuple(edges))
+    T = lex_triple_array(n)
+    H = Hypergraph3(n, T[(T <= hubs).sum(axis=1) >= 2])
     exp = Expected(
         min_link_rho=float(2 * s - 2) if n > hubs else None,
         nu=s - 1 if n >= 3 * (s - 1) else None,
@@ -121,9 +120,10 @@ def random_3graph(n: int, p: float, seed: int) -> LabeledInstance:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = [e for e in combinations(range(1, n + 1), 3) if rng.random() < p]
-    return LabeledInstance(Hypergraph3(n, tuple(edges)), f"random({n},{p},{seed})")
+    draw = random.Random(seed).random
+    T = lex_triple_array(n)
+    keep = np.fromiter(starmap(draw, repeat((), len(T))), np.float64, len(T)) < p
+    return LabeledInstance(Hypergraph3(n, T[keep]), f"random({n},{p},{seed})")
 
 
 def lex_triples(n: int) -> list[tuple[int, int, int]]:
@@ -131,12 +131,23 @@ def lex_triples(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(1, n + 1), 3))
 
 
+@lru_cache(maxsize=8)  # searches and sweeps draw many instances of a few sizes
+def lex_triple_array(n: int) -> np.ndarray:
+    """lex_triples(n) as a read-only (C(n,3), 3) intp array, in the same order."""
+    v = np.arange(n)
+    increasing = (v[:, None, None] < v[None, :, None]) & (v[None, :, None] < v[None, None, :])
+    T = np.ascontiguousarray(np.argwhere(increasing) + 1)
+    T.flags.writeable = False
+    return T
+
+
 def hypergraph_from_bitmask(n: int, mask: int) -> Hypergraph3:
     """The 3-graph whose edges are the set bits of `mask` over lex_triples(n)."""
-    triples = lex_triples(n)
-    if not 0 <= mask < (1 << len(triples)):
+    T = lex_triple_array(n)
+    if not 0 <= mask < (1 << len(T)):
         raise ValueError(f"mask out of range for n={n}")
-    return Hypergraph3(n, tuple(t for i, t in enumerate(triples) if mask >> i & 1))
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes(len(T) // 8 + 1, "little"), np.uint8), bitorder="little")
+    return Hypergraph3(n, T[bits[: len(T)].astype(bool)])
 
 
 def enumerate_3graphs(n: int) -> Iterator[Hypergraph3]:

@@ -3,9 +3,13 @@
 Text grammar: header ``p h3 <n> <m>`` (or ``p edge <n> <m>`` for 2-graphs)
 followed by exactly m lines ``e <a> <b> <c>`` (``e <a> <b>``) with strictly
 increasing in-range labels; ``c ...`` comment lines are allowed anywhere.
-The JSON mirror is ``{"n": <n>, "edges": [[a, b, c], ...]}``.  Both formats
-check each edge with one validator, so malformed input in either format
-raises `ParseError`, which the CLI reports with exit 2.
+The JSON mirror is ``{"n": <n>, "edges": [[a, b, c], ...]}``.  Malformed
+input in either format raises `ParseError`, which the CLI reports with
+exit 2.  Text is read in one pass of whole-text string and array
+operations, whose edge array goes straight to the `Hypergraph3`
+constructor; only when that pass cannot vouch for every line is the text
+read again line by line, to name the first bad line.  JSON edges are
+checked one by one with the same messages.
 Parsing and serialization round-trip exactly on canonical form; duplicate
 edges are an error, never deduplicated silently.
 """
@@ -15,7 +19,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .graphs import Graph2, Hypergraph3
+import numpy as np
+
+from .graphs import Graph2, Hypergraph3, lex_increasing
+
+#: deletes every character of a plain edge list: decimal digits, "e" and whitespace
+_PLAIN = dict.fromkeys(map(ord, "0123456789e \t\n"))
 
 
 class ParseError(ValueError):
@@ -47,6 +56,84 @@ def _check_edge(e, arity: int, n: int, seen: set, line: int | None = None) -> tu
 
 
 def _parse_dimacs(text: str) -> Graph2 | Hypergraph3:
+    """Read the text in one pass; if that pass cannot vouch for it, name the first bad line."""
+    parsed = _read_dimacs(text)
+    return parsed if parsed is not None else _read_dimacs_lines(text)
+
+
+def _read_dimacs(text: str) -> Graph2 | Hypergraph3 | None:
+    """The instance in `text`, read with whole-text string and array operations.
+
+    Returns None, never raises, when the text is malformed, so that
+    `_read_dimacs_lines` can report the first bad line.  It accepts exactly
+    the texts the line reader accepts, with the same result: lines come from
+    ``splitlines``, are stripped, and blank and comment lines are dropped in
+    the same way; the header must be the first remaining line, and every
+    later line must be the word ``e`` and `arity` more words that `int`
+    accepts.
+    """
+    lines = text.splitlines()
+    for h, line in enumerate(map(str.strip, lines)):
+        if line and not line.startswith("c"):
+            break
+    else:
+        return None
+    tokens = line.split()
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] not in ("h3", "edge"):
+        return None
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+    except ValueError:
+        return None
+    width = 4 if tokens[1] == "h3" else 3
+    kept = [s for s in map(str.strip, lines[h + 1 :]) if s and s[0] != "c"]
+    if len(kept) != m:
+        return None
+    body = "\n".join(kept)
+    if body.isascii() and not body.translate(_PLAIN) and n < 2**62:
+        flat = _plain_numbers(body, m, width)
+    else:  # signs, digit separators, non-ASCII digits or spaces: word by word, as int reads them
+        rows = [s.split() for s in kept]
+        if any(len(r) != width or r[0] != "e" for r in rows):
+            return None
+        try:
+            flat = np.array([int(w) for r in rows for w in r[1:]], dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+    if flat is None:
+        return None
+    E = flat.reshape(m, width - 1)
+    if not lex_increasing(E):
+        E = E[np.lexsort(E.T[::-1])]
+    try:
+        if width == 4:
+            return Hypergraph3(n, E)
+        return Graph2(n, tuple(map(tuple, E.tolist())))
+    except ValueError:
+        return None
+
+
+def _plain_numbers(body: str, m: int, width: int) -> np.ndarray | None:
+    """The numbers of m stripped lines of ASCII digits, "e", spaces and tabs, or None.
+
+    None unless every line is the word "e" and width-1 decimals.  A decimal
+    that overflows int64 reads as 2**63-1, which is out of range of any n
+    below 2**62.
+    """
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    space = (b == 32) | (b == 9) | (b == 10)
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # first letter of each word
+    line_starts = np.concatenate(([0], np.flatnonzero(b == 10) + 1))[:m]
+    words = np.diff(np.searchsorted(starts, line_starts), append=len(starts))
+    e = np.flatnonzero(b == ord("e"))
+    # each line has width words and its only "e" first, followed by a space or tab
+    if (words != width).any() or len(e) != m or (e != line_starts).any() or space[e + 1].sum() != m:
+        return None
+    return np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+
+
+def _read_dimacs_lines(text: str) -> Graph2 | Hypergraph3:
+    """Read the text line by line; a malformed line raises ParseError with its number."""
     kind: str | None = None
     n = 0
     m = 0
@@ -84,7 +171,10 @@ def _parse_dimacs(text: str) -> Graph2 | Hypergraph3:
         raise ParseError("missing 'p' header")
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges but {len(edges)} were given")
-    return (Hypergraph3 if kind == "h3" else Graph2)(n, tuple(sorted(edges)))
+    try:
+        return (Hypergraph3 if kind == "h3" else Graph2)(n, tuple(sorted(edges)))
+    except ValueError as exc:  # valid labels that an int64 edge array cannot hold
+        raise ParseError(str(exc)) from None
 
 
 def _parse_json(text: str) -> Graph2 | Hypergraph3:
@@ -104,7 +194,9 @@ def _parse_json(text: str) -> Graph2 | Hypergraph3:
         raise ParseError("edges must be uniformly pairs or triples")
     seen: set[tuple[int, ...]] = set()
     edges = sorted(_check_edge(e, arity, n, seen) for e in edges)
-    return (Graph2 if arity == 2 else Hypergraph3)(n, tuple(edges))
+    if arity == 2:
+        return Graph2(n, tuple(edges))
+    return Hypergraph3(n, np.array(edges, dtype=np.intp).reshape(-1, 3))
 
 
 def parse_instance(text: str) -> Graph2 | Hypergraph3:
@@ -132,15 +224,22 @@ def serialize(obj: Graph2 | Hypergraph3) -> str:
     """Canonical newline-terminated text form; parse(serialize(x)) == x."""
     if isinstance(obj, Hypergraph3):
         lines = [f"p h3 {obj.n} {obj.m}"]
-        lines.extend(f"e {a} {b} {c}" for a, b, c in obj.edges)
+        lines.extend(map("e {} {} {}".format, *obj.edge_array.T.tolist()))
     else:
         lines = [f"p edge {obj.n} {obj.m}"]
         lines.extend(f"e {a} {b}" for a, b in obj.edges)
     return "\n".join(lines) + "\n"
 
 
+def edge_lists(obj: Graph2 | Hypergraph3) -> list[list[int]]:
+    """The edges as lists of ints, as the JSON format and reports write them."""
+    if isinstance(obj, Hypergraph3):
+        return obj.edge_array.tolist()
+    return [list(e) for e in obj.edges]
+
+
 def serialize_json(obj: Graph2 | Hypergraph3) -> str:
-    return json.dumps({"n": obj.n, "edges": [list(e) for e in obj.edges]}) + "\n"
+    return json.dumps({"n": obj.n, "edges": edge_lists(obj)}) + "\n"
 
 
 def load_instance(path: str | Path) -> Graph2 | Hypergraph3:

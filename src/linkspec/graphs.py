@@ -5,15 +5,20 @@ sorted order so that equality, hashing and serialized output are
 deterministic.  Operations that drop vertices relabel the survivors
 order-preservingly and return the old->new label map alongside the result.
 All types are immutable after construction; adjacency and incidence are
-derived caches, the edge set is the single source of truth.
+derived caches.  A `Graph2`'s edge tuple is its single source of truth; a
+`Hypergraph3`'s is its read-only edge array, which the hot consumers
+(link spectra, the exact LP, the greedy matching) read directly, while its
+`edges` tuple is a view built only when something iterates tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -82,36 +87,61 @@ class Graph2:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
 
-@dataclass(frozen=True)
 class Hypergraph3:
-    """A 3-uniform hypergraph on vertices 1..n with sorted triple edges."""
+    """A 3-uniform hypergraph on vertices 1..n.
 
-    n: int
-    edges: tuple[Triple, ...]
+    The edge array is the single source of truth: a read-only (m, 3)
+    integer array of increasing triples in strictly increasing
+    lexicographic order.  `edges` is a tuple view of it, built on first
+    use.  The constructor takes the edges as an array or as an iterable of
+    triples and validates them once, with array operations; an invalid
+    edge set raises ValueError naming the first offending edge.  Equality
+    and hashing mean "same n and same edges".
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        seen: set[Triple] = set()
-        for e in self.edges:
-            if len(e) != 3 or not (e[0] < e[1] < e[2]):
-                raise ValueError(f"edge {e} is not an increasing triple")
-            if not (1 <= e[0] and e[2] <= self.n):
-                raise ValueError(f"edge {e} out of range 1..{self.n}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        if self.edges != tuple(sorted(self.edges)):
-            raise ValueError("edges must be sorted lexicographically")
+    def __init__(self, n: int, edges: np.ndarray | Iterable[Triple]) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if n >= 2**63:
+            raise ValueError(f"vertex count {n} does not fit the int64 edge array")
+        E = _edge_array(n, edges)
+        E.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", E)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph3):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph3(n={self.n}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Hypergraph3, (self.n, self.edge_array)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph3":
         canon = sorted({tuple(sorted(e)) for e in edges})
         return cls(n, tuple(canon))  # type: ignore[arg-type]
 
+    @cached_property
+    def edges(self) -> tuple[Triple, ...]:
+        """The edge array as a tuple of int triples."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -122,12 +152,22 @@ class Hypergraph3:
                 inc[v - 1].append(i)
         return tuple(tuple(x) for x in inc)
 
-    @cached_property
-    def _edge_set(self) -> frozenset[Triple]:
-        return frozenset(self.edges)
+    def has_edges(self, rows: np.ndarray | Iterable[Triple]) -> np.ndarray:
+        """Whether each row of the (k, 3) integer array `rows`, an increasing triple, is an edge.
+
+        One binary search in the edge array, whose rows, viewed as records,
+        compare lexicographically.
+        """
+        keys = np.ascontiguousarray(rows, dtype=np.intp).reshape(-1, 3).view(_ROW).ravel()
+        edges = self.edge_array.view(_ROW).ravel()
+        if not len(edges):
+            return np.zeros(len(keys), dtype=bool)
+        i = np.searchsorted(edges, keys)
+        return (i < len(edges)) & (edges[np.minimum(i, len(edges) - 1)] == keys)
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self._edge_set
+        t = sorted(e)
+        return len(t) == 3 and bool(self.has_edges([t])[0])
 
     def degree_of(self, v: int) -> int:
         self._check_vertex(v)
@@ -136,6 +176,62 @@ class Hypergraph3:
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
+
+
+#: an edge array row as one record, so that rows compare lexicographically
+_ROW = np.dtype([("a", np.intp), ("b", np.intp), ("c", np.intp)])
+
+
+def _edge_array(n: int, edges: np.ndarray | Iterable[Triple]) -> np.ndarray:
+    """`edges` as a fresh (m, 3) intp array, checked to be a valid edge set on 1..n."""
+    if not isinstance(edges, np.ndarray):
+        edges = tuple(edges)
+    try:
+        E = np.asarray(edges)
+    except ValueError:  # rows of different lengths
+        E = None
+    if E is not None and len(E) == 0:
+        return np.empty((0, 3), dtype=np.intp)
+    if E is None or E.ndim != 2 or E.shape[1] != 3 or E.dtype.kind not in "iu":
+        # some row is no int64 triple; an earlier row's fault is reported first
+        i = next(i for i, e in enumerate(edges) if np.shape(e) != (3,) or np.asarray(e).dtype.kind not in "iu")
+        _raise_first_bad_row(n, np.array(edges[:i], dtype=np.intp).reshape(-1, 3))
+        e = edges[i]
+        if np.shape(e) == (3,) and all(isinstance(v, (int, np.integer)) for v in e) and e[0] < e[1] < e[2]:
+            raise ValueError(f"edge {e} out of range 1..{n}")  # a label beyond int64, and n < 2**63
+        raise ValueError(f"edge {e} is not an increasing triple")
+    E = E.astype(np.intp, order="C")
+    increasing = (E[:, 1:] > E[:, :-1]).all()
+    if not (increasing and E.min() >= 1 and E.max() <= n and lex_increasing(E)):
+        _raise_first_bad_row(n, E)
+        raise ValueError("edges must be sorted lexicographically")
+    return E
+
+
+def lex_increasing(E: np.ndarray) -> bool:
+    """Whether the rows of the 2-d integer array E increase strictly in lexicographic order."""
+    # a row follows its predecessor iff their first nonzero difference is
+    # positive; weighting the difference signs by 2^(k-1-j) lets it decide
+    signs = np.sign(E[1:] - E[:-1])
+    return bool((signs @ (1 << np.arange(E.shape[1] - 1, -1, -1)) > 0).all())
+
+
+def _raise_first_bad_row(n: int, E: np.ndarray) -> None:
+    """Raise ValueError for the first row that is not increasing, not in range or a repeat."""
+    a, b, c = E.T
+    unordered = ~((a < b) & (b < c))
+    outside = (a < 1) | (c > n)
+    _, first, inverse = np.unique(E, axis=0, return_index=True, return_inverse=True)
+    repeat = first[inverse.reshape(-1)] != np.arange(len(E))
+    bad = unordered | outside | repeat
+    if bad.any():
+        i = int(bad.argmax())
+        e = tuple(E[i].tolist())
+        if unordered[i]:
+            raise ValueError(f"edge {e} is not an increasing triple")
+        if outside[i]:
+            raise ValueError(f"edge {e} out of range 1..{n}")
+        raise ValueError(f"duplicate edge {e}")
 
 
 def _removal_map(n: int, removed: frozenset[int]) -> dict[int, int]:
@@ -164,19 +260,12 @@ def link_graph(H: Hypergraph3, v: int) -> tuple[Graph2, dict[int, int]]:
     of V(H)\\{v}; the old->new map is returned alongside.
     """
     H._check_vertex(v)
-    # removing the single vertex v shifts every label above v down by one
-    edges = []
-    for i in H.incidence[v - 1]:
-        a, b, c = H.edges[i]
-        if a == v:
-            p, q = b, c
-        elif b == v:
-            p, q = a, c
-        else:
-            p, q = a, b
-        edges.append((p if p < v else p - 1, q if q < v else q - 1))
+    E = H.edge_array
+    through = E[(E == v).any(axis=1)]
+    pairs = through[through != v].reshape(-1, 2)  # each row without v, still increasing
+    pairs -= pairs > v  # removing the single vertex v shifts every label above v down by one
     lab = {x: (x if x < v else x - 1) for x in range(1, H.n + 1) if x != v}
-    return Graph2(H.n - 1, tuple(sorted(edges))), lab
+    return Graph2(H.n - 1, tuple(sorted(map(tuple, pairs.tolist())))), lab
 
 
 def degree(H: Hypergraph3, T: Iterable[int]) -> int:

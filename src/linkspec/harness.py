@@ -8,8 +8,9 @@ sit exactly on the boundary.  A "holds" or "fails" also needs the exact
 Collatz-Wielandt certificates of the link spectra; without them it is
 indeterminate too.
 
-Verdict semantics: violations of proven statements are tagged
-``bug_suspect`` (an implementation bug, by definition), violations of the
+Verdict semantics: violations of proven statements inside their
+hypothesis are tagged ``bug_suspect`` (an implementation bug, by
+definition), and outside it ``skipped`` with a note; violations of the
 conjecture are tagged ``counterexample`` (a reportable finding).
 """
 
@@ -27,6 +28,7 @@ import numpy as np
 from .constructions import (
     MAX_ENUMERABLE_TRIPLES,
     hypergraph_from_bitmask,
+    lex_triple_array,
     lex_triples,
     random_3graph,
 )
@@ -221,8 +223,11 @@ def verify_theorem(
 
     if ok:
         return replace(rep, verdict="consistent", **extra)
-    verdict = "counterexample" if mode.startswith("conj") else "bug_suspect"
-    return replace(rep, verdict=verdict, instance=H, **extra)
+    if mode.startswith("conj"):
+        return replace(rep, verdict="counterexample", instance=H, **extra)
+    if notes:  # a proven statement says nothing outside its hypothesis
+        return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",), **extra)
+    return replace(rep, verdict="bug_suspect", instance=H, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +263,14 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
     new_w = {i + 1: w[order[i]] for i in range(H.n)}
     # cover weight sum >= 1, exactly: W = w * D in integers, sums compared with D
     W, D = _integer_weights(new_w, H.n)
-    triples = np.array(lex_triples(H.n), dtype=np.intp).reshape(-1, 3)
-    keep = W[triples].sum(axis=1) >= D
-    shifted = Hypergraph3(H.n, tuple(map(tuple, triples[keep].tolist())))
-    old_to_new = {order[i]: i + 1 for i in range(H.n)}
-    for e in H.edges:
-        relabelled = tuple(sorted(old_to_new[v] for v in e))
-        if not shifted.has_edge(relabelled):
-            raise AssertionError(f"shifted hypergraph misses relabelled edge {e}")
+    triples = lex_triple_array(H.n)
+    shifted = Hypergraph3(H.n, triples[W[triples].sum(axis=1) >= D])
+    new_label = np.zeros(H.n + 1, dtype=np.intp)
+    new_label[list(order)] = np.arange(1, H.n + 1)
+    kept = shifted.has_edges(np.sort(new_label[H.edge_array], axis=1))
+    if not kept.all():
+        e = tuple(H.edge_array[kept.argmin()].tolist())
+        raise AssertionError(f"shifted hypergraph misses relabelled edge {e}")
     # nu* preservation is certified by exact weak duality rather than a
     # second LP solve: the relabelled optimal matching of H is feasible in
     # the shifted hypergraph (edge inclusion, verified above), and the
@@ -289,17 +294,14 @@ def shift_closure_holds(shifted: Hypergraph3) -> bool:
     stays strictly increasing: lowering the first coordinate, then the
     second, then the third walks from any edge to any triple below it.  So
     it suffices to look up the at most three elementary predecessors of each
-    edge, O(m) set lookups in all.
+    edge, O(m) binary searches in all.
     """
-    edges = set(shifted.edges)
-    for a, b, c in shifted.edges:
-        if (
-            (a > 1 and (a - 1, b, c) not in edges)
-            or (b > a + 1 and (a, b - 1, c) not in edges)
-            or (c > b + 1 and (a, b, c - 1) not in edges)
-        ):
-            return False
-    return True
+    E = shifted.edge_array
+    a, b, c = E.T
+    predecessors = np.concatenate(
+        [(E - (1, 0, 0))[a > 1], (E - (0, 1, 0))[b > a + 1], (E - (0, 0, 1))[c > b + 1]]
+    )
+    return bool(shifted.has_edges(predecessors).all())
 
 
 def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
@@ -322,12 +324,10 @@ def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
     free = [v for v in range(1, n + 1) if v not in used]
     if len(free) < s + 1:  # impossible when n >= 3s+3
         raise AssertionError("not enough unused vertices for the lift")
-    lifted = []
-    for (a, b), u in zip(chosen, free[: s + 1]):
-        t = tuple(sorted((a, b, u)))
-        if not P.shifted.has_edge(t):
-            raise AssertionError(f"lifted triple {t} missing; shift-closure violated")
-        lifted.append(t)
+    lifted = [tuple(sorted((a, b, u))) for (a, b), u in zip(chosen, free[: s + 1])]
+    present = P.shifted.has_edges(lifted)
+    if not present.all():
+        raise AssertionError(f"lifted triple {lifted[present.argmin()]} missing; shift-closure violated")
     return Matching3(tuple(sorted(lifted)))
 
 
@@ -362,7 +362,7 @@ def absorbing_sets(H: Hypergraph3, T: Iterable[int]) -> list[tuple[int, ...]]:
         if not 1 <= v <= H.n:
             raise ValueError(f"vertex {v} out of range 1..{H.n}")
     rest = [v for v in range(1, H.n + 1) if v not in ts]
-    edge_masks = [1 << a | 1 << b | 1 << c for a, b, c in H.edges]
+    edge_masks = [1 << a | 1 << b | 1 << c for a, b, c in H.edge_array.tolist()]
     t_mask = sum(1 << v for v in ts)
     out = []
     for A in combinations(rest, 6):

@@ -177,10 +177,12 @@ class FractionalAssignment:
     def validate(self, H: Hypergraph3) -> None:
         """Check exact feasibility with respect to H; raises on violation."""
         if self.kind == "matching":
+            rows = [sorted(e) if len(e) == 3 else (0, 0, 0) for e in self.weights]  # (0, 0, 0) is no edge
+            present = H.has_edges(rows)
+            if not present.all():
+                raise ValueError(f"{list(self.weights)[present.argmin()]} is not an edge of the hypergraph")
             load: dict[int, Fraction] = {}
             for e, w in self.weights.items():
-                if not H.has_edge(e):
-                    raise ValueError(f"{e} is not an edge of the hypergraph")
                 for v in e:
                     load[v] = load.get(v, ZERO) + w
             bad = [v for v, s in load.items() if s > 1]
@@ -188,9 +190,9 @@ class FractionalAssignment:
                 raise ValueError(f"vertex constraint violated at {bad[0]}")
         elif H.m:
             W, D = _integer_weights(self.weights, H.n)
-            short = np.flatnonzero(W[np.array(H.edges)].sum(axis=1) < D)
+            short = np.flatnonzero(W[H.edge_array].sum(axis=1) < D)
             if len(short):
-                raise ValueError(f"edge {H.edges[short[0]]} is not covered")
+                raise ValueError(f"edge {tuple(H.edge_array[short[0]].tolist())} is not covered")
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def fractional_matching(
         return DualityCertificate(primal, dual)
     # The tableau [A | I | 1] over the vertices that meet an edge, with the
     # objective row [-1 | 0 | 0]: every scale is 1, so it goes to the core as is.
-    E = np.array(H.edges)
+    E = H.edge_array
     touched = np.unique(E).tolist()
     k, m = len(touched), H.m
     row_of = np.zeros(H.n + 1, dtype=np.intp)
@@ -244,7 +246,7 @@ def fractional_matching(
     T, basis, den = _simplex_core(T, m, k)
     rhs = m + k
     support = sorted((bv, int(T[i, rhs])) for i, bv in enumerate(basis) if bv < m and T[i, rhs])
-    primal_w = {H.edges[j]: Fraction(x, den) for j, x in support}
+    primal_w = {tuple(E[j].tolist()): Fraction(x, den) for j, x in support}
     dual_w = {v: Fraction(int(T[k, m + i]), den) for i, v in enumerate(touched) if T[k, m + i]}
     primal = FractionalAssignment("matching", primal_w, Fraction(int(T[k, rhs]), den))
     dual = FractionalAssignment("cover", dual_w, sum(dual_w.values(), ZERO))

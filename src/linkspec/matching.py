@@ -1,19 +1,19 @@
 """Exact matching numbers for 2-graphs and 3-graphs.
 
 2-graph maximum matching is delegated to networkx's blossom implementation
-(exact on general graphs).  3-graph maximum matching is a deterministic
+(exact on general graphs); networkx is imported on first use, so only the
+link-matching lift pays for it.  3-graph maximum matching is a deterministic
 branch-and-bound over edge inclusion, pruned by the floor(remaining/3)
 bound, a greedy hitting-set bound, and an optional exact-LP root bound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-import networkx as nx
+import numpy as np
 
 from .graphs import Graph2, Hypergraph3, Pair, Triple
 from .lp import DEFAULT_TRIPLE_LIMIT, LpSizeError, fractional_matching
@@ -75,6 +75,8 @@ class Matching3Result:
 
 def max_matching_graph(G: Graph2) -> tuple[int, list[Pair]]:
     """Exact maximum matching of a general (non-bipartite) graph."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(1, G.n + 1))
     g.add_edges_from(G.edges)
@@ -114,25 +116,28 @@ def _greedy_hitting_bound(edge_masks: list[int], n: int) -> int:
     return size
 
 
-def _greedy_matching(edges: tuple[Triple, ...], n: int) -> list[Triple]:
-    """First-fit matching over the sorted edges.
+def _greedy_matching(E: np.ndarray, n: int) -> list[Triple]:
+    """First-fit matching over the sorted edge array.
 
-    Edges whose first vertex is taken are skipped as one block, and the scan
-    ends once fewer than 3 vertices are free: no edge after either can fit.
+    The edges with first vertex a form one block of rows, found by
+    `searchsorted` on column 0.  A block whose first vertex is taken is
+    skipped whole; otherwise its first edge whose other two vertices are
+    free is taken.  The scan ends once fewer than 3 vertices are free: no
+    later edge can fit.
     """
+    bounds = np.searchsorted(E[:, 0], np.arange(1, n + 2)).tolist()
     used = 0
     out: list[Triple] = []
-    i = 0
-    while i < len(edges) and n - 3 * len(out) >= 3:
-        e = edges[i]
-        a, b, c = e
+    for a in range(1, n + 1):
+        if n - 3 * len(out) < 3:
+            break
         if used >> a & 1:
-            i = bisect_left(edges, (a + 1,), i)
             continue
-        if not (used >> b & 1 or used >> c & 1):
-            out.append(e)
-            used |= 1 << a | 1 << b | 1 << c
-        i += 1
+        for b, c in E[bounds[a - 1] : bounds[a], 1:].tolist():
+            if not (used >> b & 1 or used >> c & 1):
+                out.append((a, b, c))
+                used |= 1 << a | 1 << b | 1 << c
+                break
     return out
 
 
@@ -154,13 +159,14 @@ def max_matching_3graph(
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    greedy = _greedy_matching(H.edges, H.n)
+    greedy = _greedy_matching(H.edge_array, H.n)
     best_size = len(greedy)
     best_edges = list(greedy)
     if target is not None and best_size >= target:
         return Matching3Result(best_size, Matching3(tuple(best_edges)), False, 0)
 
-    edge_masks = [sum(1 << (v - 1) for v in e) for e in H.edges]
+    rows = H.edge_array.tolist()
+    edge_masks = [1 << (a - 1) | 1 << (b - 1) | 1 << (c - 1) for a, b, c in rows]
     full = (1 << H.n) - 1
 
     root_ub = min(H.n // 3, _greedy_hitting_bound(edge_masks, H.n) if H.m else 0)
@@ -208,7 +214,7 @@ def max_matching_3graph(
         v_bit = union & -union
         for m, i in avail:
             if m & v_bit:
-                cur.append(H.edges[i])
+                cur.append(tuple(rows[i]))
                 recurse(excluded | m)
                 cur.pop()
                 if exhausted or reached_target:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -228,7 +227,7 @@ def link_spectra(
     vs = tuple(range(1, n + 1)) if vertices is None else tuple(vertices)
     for v in vs:
         H._check_vertex(v)
-    E = np.fromiter(chain.from_iterable(H.edges), dtype=np.intp, count=3 * H.m).reshape(-1, 3) - 1
+    E = H.edge_array - 1
     slot = np.full(n, -1, dtype=np.intp)  # position of a vertex's link in the current chunk
     per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
     rho: list[float] = []

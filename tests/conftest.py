@@ -4,7 +4,8 @@ The oracles here deliberately re-derive quantities with methods different
 from the library's (a plain dense eigenvalue solve and power iteration vs
 the certified eigensolver brackets, exhaustive recursion vs
 branch-and-bound / blossom, rational-tableau simplex vs the
-integer-pivoting one, dominance scan vs elementary moves), so agreement
+integer-pivoting one, dominance scan vs elementary moves, a list
+comprehension over triples vs the masked lex-triple array), so agreement
 between the two routes is meaningful.
 """
 
@@ -213,6 +214,12 @@ def rand_graph(n: int, p: float, rng: random.Random) -> Graph2:
 def rand_3graph(n: int, p: float, rng: random.Random) -> Hypergraph3:
     edges = [e for e in combinations(range(1, n + 1), 3) if rng.random() < p]
     return Hypergraph3(n, tuple(edges))
+
+
+def ref_random_3graph_edges(n: int, p: float, seed: int) -> tuple[tuple[int, int, int], ...]:
+    """The edge tuple of random_3graph(n, p, seed), by the list comprehension it replaced."""
+    rng = random.Random(seed)
+    return tuple(e for e in combinations(range(1, n + 1), 3) if rng.random() < p)
 
 
 FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))

@@ -9,6 +9,8 @@ from linkspec import cli, harness
 from linkspec.cli import main
 from linkspec.constructions import random_3graph
 from linkspec.fileio import parse_instance, serialize
+from linkspec.graphs import Hypergraph3
+from linkspec.harness import instance_seed
 from conftest import FANO_LINES, uncertifiable_links
 
 
@@ -168,6 +170,20 @@ class TestCheck:
             monkeypatch.setattr(module, "link_spectra", counted)
         code, _, _ = run(capsys, "check", path, "--s", "2", "--mode", "thm13", "--gamma", "0.05")
         assert code == 0 and len(calls) == 1
+
+    def test_check_reads_only_the_edge_array(self, capsys, tmp_path, monkeypatch):
+        # at n = 100 the tuple view would hold 113k triples; a check never builds it
+        path = tmp_path / "n100.h3"
+        path.write_text(serialize(random_3graph(100, 0.7, instance_seed(20260925, 0)).hypergraph))
+        built = []
+        view = Hypergraph3.edges
+        monkeypatch.setattr(Hypergraph3, "edges", property(lambda H: built.append(H.m) or view.func(H)))
+        code, out, _ = run(
+            capsys, "check", str(path), "--s", "1", "--mode", "thm12", "--gamma", "0.05", "--no-timing"
+        )
+        report = json.loads(out)["results"]["report"]
+        assert code == 0 and report["condition"] == "holds" and report["verdict"] == "consistent"
+        assert built == []
 
     def test_strict_exit_on_out_of_range_counterexample(self, capsys, tmp_path):
         # n=5 < 3s+3 is conjecture territory by construction: the spectral

@@ -14,14 +14,18 @@ from linkspec.constructions import (
     h1,
     h2,
     hypergraph_from_bitmask,
+    lex_triple_array,
     lex_triples,
     random_3graph,
     split_graph,
 )
 from linkspec.graphs import link_graph
+from linkspec.harness import instance_seed
 from linkspec.lp import fractional_matching
 from linkspec.matching import find_matching_of_size, hitting_set_bound, max_matching_3graph
 from linkspec.spectral import spectral_radius, threshold_match
+
+from conftest import ref_random_3graph_edges
 
 TOL = 1e-9
 
@@ -163,6 +167,34 @@ class TestRandom3Graph:
         with pytest.raises(ValueError):
             random_3graph(6, 1.5, 0)
 
+    def test_stream_matches_the_list_comprehension_generator(self):
+        # one draw per lexicographic triple, kept iff it is below p, edge for edge
+        seeds = [0, 1, 7, 123, instance_seed(20260825, 9_999), instance_seed(20260925, 3)]
+        for n in range(0, 15):
+            for p in (0.0, 0.13, 0.5, 0.8, 1.0):
+                for seed in seeds:
+                    H = random_3graph(n, p, seed).hypergraph
+                    assert H.edges == ref_random_3graph_edges(n, p, seed), (n, p, seed)
+        for n, p, seed in ((32, 0.5, instance_seed(20261025, 0)), (40, 0.3, 5)):
+            assert random_3graph(n, p, seed).hypergraph.edges == ref_random_3graph_edges(n, p, seed)
+
+    def test_families_match_their_definitions(self):
+        for n in range(3, 13):
+            triples = list(combinations(range(1, n + 1), 3))
+            assert complete_3graph(n).hypergraph.edges == tuple(triples)
+            for s in range(1, n + 1):
+                assert h1(s, n).hypergraph.edges == tuple(e for e in triples if e[0] <= s)
+            for s in range(1, (n + 1) // 2 + 1):
+                hubs = 2 * s - 1
+                expected = tuple(e for e in triples if sum(v <= hubs for v in e) >= 2)
+                assert h2(s, n).hypergraph.edges == expected
+
+    def test_lex_triple_array_is_lex_triples(self):
+        for n in range(0, 12):
+            T = lex_triple_array(n)
+            assert T.shape == (len(lex_triples(n)), 3) and not T.flags.writeable
+            assert list(map(tuple, T.tolist())) == lex_triples(n)
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -176,6 +208,14 @@ class TestEnumeration:
             assert back == mask
         with pytest.raises(ValueError):
             hypergraph_from_bitmask(4, 16)
+
+    def test_bitmask_matches_definition(self):
+        rng = random.Random(11)
+        for n in range(0, 9):
+            triples = lex_triples(n)
+            for mask in [0, (1 << len(triples)) - 1] + [rng.getrandbits(len(triples)) for _ in range(20)]:
+                expected = tuple(t for i, t in enumerate(triples) if mask >> i & 1)
+                assert hypergraph_from_bitmask(n, mask).edges == expected
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):

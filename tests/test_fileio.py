@@ -1,10 +1,17 @@
 """Instance file parsing and serialization."""
 
+import json
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from linkspec.constructions import h1, random_3graph
 from linkspec.fileio import (
     ParseError,
+    _read_dimacs,
+    _read_dimacs_lines,
     load_instance,
     parse_graph,
     parse_h3,
@@ -124,3 +131,158 @@ class TestRoundTrip:
         assert json_path.read_text().startswith("{")
         assert load_instance(text_path) == H
         assert load_instance(json_path) == H
+
+
+# ---------------------------------------------------------------------------
+# The one-pass text reader against the line reader.  Valid instances are
+# written with varied spelling and layout, and edge-level and line-level
+# faults are injected; the one-pass reader must accept exactly the texts
+# the line reader accepts, with the same instance, and parse_instance must
+# report a rejected text exactly as the line reader does.
+
+_DIGIT_ZERO = {"arabic-indic": 0x660, "devanagari": 0x966, "fullwidth": 0xFF10}
+_SPELLINGS = ("plain", "plain", "plain", "plus", "zeros", "underscore", *_DIGIT_ZERO)
+_BAD_TOKENS = ("3c", "x", "1.0", "²", "0x1", "1e3", "--1", "e")
+_SEPARATORS = (" ", " ", "  ", "\t", " \t ", "\xa0", "\x1f", "　")
+_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ")
+_FILLER = ("", "   ", "\t", "c", "c a comment", "  c indented comment", "comment", "c e 1 2 3")
+
+
+def _spell(v: int, style: str) -> str:
+    if v < 0:
+        return "-" + _spell(-v, "plain" if style == "plus" else style)
+    if style == "plus":
+        return f"+{v}"
+    if style == "zeros":
+        return f"00{v}"
+    if style == "underscore":
+        return "_".join(str(v)) if v >= 10 else f"0_{v}"
+    if style in _DIGIT_ZERO:
+        return "".join(chr(_DIGIT_ZERO[style] + int(d)) for d in str(v))
+    return str(v)
+
+
+@st.composite
+def _instance_texts(draw):
+    """(text, json twin or None, canonical text of the twin's edges)."""
+    arity = draw(st.sampled_from((3, 3, 2)))
+    n = draw(st.integers(0, 8))
+    tuples = list(combinations(range(1, n + 1), arity))
+    rows = [list(e) for e in draw(st.lists(st.sampled_from(tuples), unique=True, max_size=10))] if tuples else []
+    # edge-level faults: each has a JSON twin
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(("duplicate", "unsorted", "range", "extra", "missing", "bad")))
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif fault == "unsorted":
+            rows[i] = rows[i][::-1]
+        elif fault == "range":
+            rows[i][-1] = draw(st.sampled_from((n + 1, 0, -1, 2**70)))
+        elif fault in ("extra", "missing") and i > 0:  # the JSON twin takes its arity from edge 0
+            rows[i] = rows[i] + [n] if fault == "extra" else rows[i][:-1]
+        elif fault == "bad":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    kind = "h3" if arity == 3 else "edge"
+    twin = {"n": n, "edges": rows} if rows or arity == 3 else None
+    canonical = "".join(f"{line}\n" for line in [f"p {kind} {n} {len(rows)}"] + [
+        " ".join(["e"] + [str(v) for v in row]) for row in rows
+    ])
+    # spelling and layout, all of them valid; half the texts are laid out as serialize writes them
+    plain = draw(st.booleans())
+    sep = " " if plain else draw(st.sampled_from(_SEPARATORS))
+    spellings = ("plain",) if plain else _SPELLINGS
+    pads = ("",) if plain else ("", "", " ", "\t")
+    lines = [f"p {kind} {n} {len(rows) + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))}"]
+    for row in rows:
+        words = ["e"] + [v if isinstance(v, str) else _spell(v, draw(st.sampled_from(spellings))) for v in row]
+        lines.append(draw(st.sampled_from(pads)) + sep.join(words) + draw(st.sampled_from(pads)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FILLER)))
+    # line-level faults
+    faults = ("glued", "glued and padded", "split", "merged and split", "e moved", "e renamed", "bare",
+              "second header", "unknown", "no header", "late header")
+    fault = draw(st.sampled_from((None,) * 3 + faults))
+    edge_lines = [i for i, line in enumerate(lines) if line.strip().startswith("e")]
+    if fault in ("glued", "glued and padded") and edge_lines:
+        i = draw(st.sampled_from(edge_lines))
+        lines[i] = lines[i].replace("e" + sep, "e", 1) + (sep + "1" if fault == "glued and padded" else "")
+    elif fault == "split" and edge_lines:  # the last word moves to a line of its own
+        i = draw(st.sampled_from(edge_lines))
+        head, _, last = lines[i].strip().rpartition(sep.strip() or sep)
+        lines[i : i + 1] = [head, last]
+    elif fault == "merged and split" and len(edge_lines) >= 2:  # two edges on one line, then as above
+        i, j = edge_lines[:2]
+        merged = lines[i] + sep + lines.pop(j).strip()
+        head, _, last = merged.strip().rpartition(sep.strip() or sep)
+        lines[i : i + 1] = [head, last]
+    elif fault == "e moved" and edge_lines:  # "1 e 2 3": the line's first word is no "e"
+        i = draw(st.sampled_from(edge_lines))
+        words = lines[i].split()
+        lines[i] = sep.join(words[1:2] + words[:1] + words[2:])
+    elif fault == "e renamed" and edge_lines:
+        i = draw(st.sampled_from(edge_lines))
+        lines[i] = lines[i].replace("e", draw(st.sampled_from(("E", "x", "f"))), 1)
+    elif fault == "bare":
+        lines.insert(draw(st.integers(1, len(lines))), "e")
+    elif fault == "second header":
+        lines.insert(draw(st.integers(1, len(lines))), lines[0])
+    elif fault == "unknown":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("x 1 2 3", "p", "E 1 2 3", "1 2 3"))))
+    elif fault == "no header":
+        lines = [line for line in lines if not line.strip().startswith("p")]
+    elif fault == "late header" and edge_lines:
+        lines.insert(edge_lines[-1] + 1, lines.pop(0))
+    end = "\n" if plain else draw(st.sampled_from(_LINE_ENDS))
+    text = end.join(lines) + draw(st.sampled_from((end, "")))
+    return text, twin, canonical
+
+
+def _assert_readers_agree(text):
+    try:
+        expected = _read_dimacs_lines(text)
+    except ParseError as exc:
+        assert _read_dimacs(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        got = _read_dimacs(text)
+        assert type(got) is type(expected) and got == expected
+        assert parse_instance(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p h3 9 2\ne 1 e 2\n3 4 5 6\n",  # an "e" inside a line and a line without one
+        "p h3 9 1\n1 e 2 3\n",
+        "p h3 9 2\ne 1 2 3\nx 4 5 6\n",
+        "p h3 9 2\ne 1 2 3\nE 4 5 6\n",
+        f"p h3 {2**63} 1\ne 1 2 99999999999999999999\n",  # overflows int64, and n is out of its reach too
+        f"p h3 {2**63 - 10} 1\ne 1 2 99999999999999999999\n",
+        f"p h3 {2**63 - 10} 1\ne 1 2 {2**63 - 11}\n",
+        f"p h3 {2**64} 1\ne 1 2 {2**63}\n",  # valid, but beyond what an edge array holds
+    ],
+)
+def test_readers_agree_at_the_edges(text):
+    _assert_readers_agree(text)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_instance_texts())
+def test_one_pass_reader_agrees_with_the_line_reader(case):
+    text, twin, canonical = case
+    _assert_readers_agree(text)
+    if twin is not None:  # the same edges as JSON: accepted and read alike
+        try:
+            expected = _read_dimacs_lines(canonical)
+        except ParseError:
+            expected = None
+        try:
+            got = parse_instance(json.dumps(twin))
+        except ParseError:
+            got = None
+        assert type(got) is type(expected) and got == expected

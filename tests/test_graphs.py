@@ -1,8 +1,10 @@
 """Core graph/hypergraph types and operations."""
 
+import pickle
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2, split_graph
@@ -52,6 +54,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             Hypergraph3(4, ((1, 2, 3), (1, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (-1, (), "vertex count must be nonnegative, got -1"),
+            (4, ((1, 1, 2),), "edge (1, 1, 2) is not an increasing triple"),
+            (4, ((3, 2, 1),), "edge (3, 2, 1) is not an increasing triple"),
+            (4, ((1, 2),), "edge (1, 2) is not an increasing triple"),
+            (4, ((2, 3, 5),), "edge (2, 3, 5) out of range 1..4"),
+            (4, ((0, 1, 2),), "edge (0, 1, 2) out of range 1..4"),
+            (4, ((1, 2, 3), (1, 2, 3)), "duplicate edge (1, 2, 3)"),
+            (4, ((1, 3, 4), (1, 2, 3)), "edges must be sorted lexicographically"),
+            # the first offending edge in the given order is named
+            (4, ((1, 2, 4), (2, 3, 4), (1, 2, 4), (0, 1, 2)), "duplicate edge (1, 2, 4)"),
+            (4, ((2, 3, 4), (1, 2, 3), (1, 2, 5)), "edge (1, 2, 5) out of range 1..4"),
+            (4, ((1, 2, 3), (2, 3, 4), (1, 2)), "edge (1, 2) is not an increasing triple"),
+            (4, ((1, 2, 3), (1, 2, 3), (1, 2)), "duplicate edge (1, 2, 3)"),
+            (4, ((1.0, 2, 3),), "edge (1.0, 2, 3) is not an increasing triple"),
+        ],
+    )
+    def test_h3_error_messages(self, n, edges, message):
+        with pytest.raises(ValueError) as err:
+            Hypergraph3(n, edges)
+        assert str(err.value) == message
+        if n >= 0 and all(len(e) == 3 and all(type(v) is int for v in e) for e in edges):
+            with pytest.raises(ValueError) as err:  # the same from an array
+                Hypergraph3(n, np.array(edges, dtype=np.int64).reshape(-1, 3))
+            assert str(err.value) == message
+
     def test_from_edges_canonicalizes(self):
         G = Graph2.from_edges(3, [(2, 1), (3, 1), (1, 2)])
         assert G.edges == ((1, 2), (1, 3))
@@ -74,6 +104,56 @@ class TestValidation:
         assert H.incidence[0] == (0, 1)
         assert H.degree_of(1) == 2 and H.degree_of(2) == 1
         assert H.has_edge((3, 2, 1))
+
+
+class TestEdgeArray:
+    def test_tuples_and_arrays_give_equal_instances(self):
+        rng = random.Random(4)
+        for n in range(0, 10):
+            H = rand_3graph(n, 0.4, rng)
+            for dtype in (np.int64, np.int32, np.uint16, np.intp):
+                G = Hypergraph3(n, np.array(H.edges, dtype=dtype).reshape(-1, 3))
+                assert G == H and hash(G) == hash(H) and G.edges == H.edges
+            assert Hypergraph3(n + 1, H.edges) != H
+            assert H.edge_array.dtype == np.intp and H.edge_array.shape == (H.m, 3)
+
+    def test_edge_array_is_read_only_and_not_shared(self):
+        source = np.array([[1, 2, 3], [2, 3, 4]])
+        H = Hypergraph3(4, source)
+        assert not H.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            H.edge_array[0, 0] = 2
+        source[0] = (1, 2, 4)
+        assert H.edges == ((1, 2, 3), (2, 3, 4))
+        with pytest.raises(AttributeError):
+            H.n = 5
+
+    def test_tuple_view_is_built_on_first_use(self):
+        H = Hypergraph3(5, np.array([[1, 2, 3], [1, 4, 5]]))
+        assert "edges" not in vars(H)
+        assert H.m == 2 and H == Hypergraph3(5, ((1, 2, 3), (1, 4, 5)))
+        assert "edges" not in vars(H)
+        assert H.edges == ((1, 2, 3), (1, 4, 5)) and type(H.edges[0][0]) is int
+        assert repr(H) == "Hypergraph3(n=5, edges=((1, 2, 3), (1, 4, 5)))"
+
+    def test_has_edges_is_set_membership(self):
+        rng = random.Random(8)
+        for n in range(0, 9):
+            H = rand_3graph(n, 0.5, rng)
+            edges = set(H.edges)
+            triples = list(combinations(range(0, n + 2), 3))  # out-of-range labels included
+            assert H.has_edges(np.array(triples).reshape(-1, 3)).tolist() == [t in edges for t in triples]
+            assert [H.has_edge(t[::-1]) for t in triples] == [t in edges for t in triples]
+            assert not H.has_edge((1, 2))
+
+    def test_pickle_round_trip(self):
+        H = complete_3graph(6).hypergraph
+        G = pickle.loads(pickle.dumps(H))
+        assert G == H and not G.edge_array.flags.writeable
+
+    def test_any_iterable_of_triples(self):
+        assert Hypergraph3(4, iter([(1, 2, 3)])) == Hypergraph3(4, ((1, 2, 3),))
+        assert Hypergraph3(4, []).m == 0 and Hypergraph3(4, np.empty((0, 3), int)).m == 0
 
 
 class TestLinkGraph:

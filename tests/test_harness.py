@@ -132,15 +132,39 @@ class TestVerifyTheorem:
     def test_out_of_hypothesis_violations_are_tagged(self):
         # n=5 < 3s+3: the conjecture/theorem hypotheses fail, and the
         # conclusions are false for the complete 3-graph, so the tagging
-        # paths are exercised without any actual finding
+        # paths are exercised without any actual finding; a proven
+        # statement says nothing there, so its failure is no bug suspect
         H = complete_3graph(5).hypergraph
         rep = verify_theorem(H, 1, "conj_matching")
         assert rep.condition == "holds" and rep.verdict == "counterexample"
         assert any("3s+3" in note for note in rep.notes)
         assert rep.instance == H
         rep = verify_theorem(H, 1, "thm13")
-        assert rep.verdict == "bug_suspect"
+        assert rep.verdict == "skipped" and rep.instance is None
         assert rep.nu_frac == Fraction(5, 3)
+        assert rep.notes[-1] == "skipped: conclusion fails outside the hypothesis"
+        rep = verify_theorem(H, 1, "thm12")  # n = 5 < 100s as well
+        assert rep.verdict == "skipped" and any("100s" in note for note in rep.notes)
+
+    def test_failed_proven_conclusion_inside_the_hypothesis_is_a_bug_suspect(self, monkeypatch):
+        # K6 at s = 1 meets Theorem 1.3's hypothesis (n = 3s+3); make the
+        # solvers report K5's nu* = 5/3 < 2 so that the conclusion fails there
+        H = complete_3graph(6).hypergraph
+        k5 = complete_3graph(5).hypergraph
+        monkeypatch.setattr(harness, "find_matching_of_size", lambda *a: (None, True))
+        monkeypatch.setattr(harness, "fractional_matching", lambda *a: fractional_matching(k5))
+        rep = verify_theorem(H, 1, "thm13")
+        assert rep.condition == "holds" and rep.notes == ()
+        assert rep.verdict == "bug_suspect" and rep.instance == H
+
+    def test_exhaustive_search_outside_the_hypothesis_has_no_bug_suspects(self):
+        # every condition-holding 3-graph on 5 vertices fails nu* >= 2, and
+        # all of them lie outside Theorem 1.3's hypothesis n >= 3s+3 = 6
+        counts = search_exhaustive(5, 1, "thm13").counts
+        assert counts == {
+            "total": 1024, "condition_holds": 106, "consistent": 0, "counterexample": 0,
+            "bug_suspect": 0, "indeterminate": 25, "skipped": 1024,
+        }
 
     def test_conj_pm_needs_exact_n(self):
         rep = verify_theorem(complete_3graph(9).hypergraph, 1, "conj_pm")

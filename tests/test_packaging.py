@@ -31,3 +31,22 @@ def test_import_loads_only_declared_dependencies():
     loaded = set(out.stdout.split())
     assert "linkspec" in loaded and "scipy" not in loaded
     assert loaded - set(sys.stdlib_module_names) - {"linkspec"} <= declared
+
+
+def test_import_and_check_leave_networkx_unloaded(tmp_path):
+    # networkx serves only the link-matching lift, so it is imported on first use
+    path = tmp_path / "h.h3"
+    code = (
+        "import sys; import linkspec; assert 'networkx' not in sys.modules, 'import'; "
+        "from linkspec import cli, constructions, fileio; "
+        f"fileio.save_instance(constructions.random_3graph(12, 0.8, 1).hypergraph, {str(path)!r}); "
+        f"code = cli.main(['check', {str(path)!r}, '--s', '3', '--mode', 'thm13', '--gamma', '0.05', "
+        f"'--no-timing', '-o', {str(tmp_path / 'report.json')!r}]); "
+        "assert code == 0; print('networkx' in sys.modules)"
+    )
+    path_env = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path_env),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False"]
