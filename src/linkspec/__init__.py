@@ -1,8 +1,16 @@
 """Spectral conditions for (fractional) matchings in 3-uniform hypergraphs.
 
+The package is a certifying checker: it decides the link spectral condition
+(`check_condition`), proves or refutes the matching conclusion exactly
+(`verify_theorem`), and runs the cover shift -> closure -> lift pipeline
+(`shift`, `shift_closure_holds`, `lift_link_matching`).  The names exported
+here are its public API; `tests/test_packaging.py` pins the list, so a new
+public helper is a deliberate addition.
+
 Library layout:
 
-- :mod:`linkspec.graphs` -- immutable 2-graph / 3-graph types and operations
+- :mod:`linkspec.graphs` -- immutable 2-graph / 3-graph types, links,
+  induced subhypergraphs and complements
 - :mod:`linkspec.spectral` -- certified spectral radii (eigensolver plus exact
   Collatz-Wielandt brackets), link spectra of a 3-graph, closed-form bounds
 - :mod:`linkspec.matching` -- exact matching numbers (blossom, branch-and-bound)
@@ -18,20 +26,13 @@ from .graphs import (  # noqa: F401
     Graph2,
     Hypergraph3,
     complement,
-    degree,
-    graph_remove_vertices,
     induced,
-    join,
     link_graph,
-    max_codegree,
-    min_l_degree,
-    remove_vertices,
 )
 from .spectral import (  # noqa: F401
     LinkSpectra,
     SpectralReport,
     hong_bound,
-    lemma24_common_edges_check,
     link_spectra,
     spectral_radius,
     stanley_bound,
@@ -42,9 +43,6 @@ from .spectral import (  # noqa: F401
 from .matching import (  # noqa: F401
     Matching3,
     Matching3Result,
-    greedy_extend,
-    high_degree_set,
-    hitting_set_bound,
     max_matching_3graph,
     max_matching_graph,
 )
@@ -52,7 +50,6 @@ from .lp import (  # noqa: F401
     DualityCertificate,
     FractionalAssignment,
     fractional_matching,
-    has_perfect_fractional_matching,
 )
 from .constructions import (  # noqa: F401
     LabeledInstance,

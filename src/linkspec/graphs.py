@@ -4,11 +4,11 @@ Vertices are 1-based contiguous integers.  Edge sets are kept in canonical
 sorted order so that equality, hashing and serialized output are
 deterministic.  Operations that drop vertices relabel the survivors
 order-preservingly and return the old->new label map alongside the result.
-All types are immutable after construction; adjacency and incidence are
-derived caches.  A `Graph2`'s edge tuple is its single source of truth; a
-`Hypergraph3`'s is its read-only edge array, which the hot consumers
-(link spectra, the exact LP, the greedy matching) read directly, while its
-`edges` tuple is a view built only when something iterates tuples.
+All types are immutable after construction; adjacency is a derived cache.
+A `Graph2`'s edge tuple is its single source of truth; a `Hypergraph3`'s is
+its read-only edge array, which the hot consumers (link spectra, the exact
+LP, the greedy matching) read directly, while its `edges` tuple is a view
+built only when something iterates tuples.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ class Graph2:
     def degree_of(self, v: int) -> int:
         self._check_vertex(v)
         return bin(self.adjacency[v - 1]).count("1")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        mask = self.adjacency[v - 1]
-        return tuple(u + 1 for u in range(self.n) if mask >> u & 1)
 
     def has_edge(self, a: int, b: int) -> bool:
         if a > b:
@@ -143,15 +138,6 @@ class Hypergraph3:
     def m(self) -> int:
         return len(self.edge_array)
 
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuples of indices into `edges`."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v - 1].append(i)
-        return tuple(tuple(x) for x in inc)
-
     def has_edges(self, rows: np.ndarray | Iterable[Triple]) -> np.ndarray:
         """Whether each row of the (k, 3) integer array `rows`, an increasing triple, is an edge.
 
@@ -168,10 +154,6 @@ class Hypergraph3:
     def has_edge(self, e: Iterable[int]) -> bool:
         t = sorted(e)
         return len(t) == 3 and bool(self.has_edges([t])[0])
-
-    def degree_of(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.incidence[v - 1])
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -234,25 +216,6 @@ def _raise_first_bad_row(n: int, E: np.ndarray) -> None:
         raise ValueError(f"duplicate edge {e}")
 
 
-def _removal_map(n: int, removed: frozenset[int]) -> dict[int, int]:
-    """Order-preserving old->new label map after removing `removed` from 1..n."""
-    out: dict[int, int] = {}
-    nxt = 1
-    for v in range(1, n + 1):
-        if v not in removed:
-            out[v] = nxt
-            nxt += 1
-    return out
-
-
-def _check_subset(n: int, s: Iterable[int]) -> frozenset[int]:
-    fs = frozenset(s)
-    for v in fs:
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} out of range 1..{n}")
-    return fs
-
-
 def link_graph(H: Hypergraph3, v: int) -> tuple[Graph2, dict[int, int]]:
     """Link graph of v: the pairs completing an edge of H with v.
 
@@ -268,50 +231,6 @@ def link_graph(H: Hypergraph3, v: int) -> tuple[Graph2, dict[int, int]]:
     return Graph2(H.n - 1, tuple(sorted(map(tuple, pairs.tolist())))), lab
 
 
-def degree(H: Hypergraph3, T: Iterable[int]) -> int:
-    """Number of edges of H containing T, for |T| <= 3 (|T|=0 gives e(H))."""
-    fs = _check_subset(H.n, T)
-    if len(fs) > 3:
-        raise ValueError(f"degree is defined for |T| <= 3, got |T|={len(fs)}")
-    if not fs:
-        return H.m
-    v = min(fs)
-    rest = fs - {v}
-    return sum(1 for i in H.incidence[v - 1] if rest <= set(H.edges[i]))
-
-
-def min_l_degree(H: Hypergraph3, l: int) -> int:
-    """Minimum of d_H(T) over all l-subsets T, for l in {0, 1, 2}."""
-    if not 0 <= l <= 2:
-        raise ValueError(f"l must be 0, 1 or 2, got {l}")
-    if H.n < l:
-        raise ValueError(f"need n >= l, got n={H.n}, l={l}")
-    if l == 0:
-        return H.m
-    if l == 1:
-        return min(len(inc) for inc in H.incidence)
-    # l == 2: count pair degrees in one pass rather than calling degree() per pair
-    counts = {p: 0 for p in combinations(range(1, H.n + 1), 2)}
-    for a, b, c in H.edges:
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
-    return min(counts.values())
-
-
-def max_codegree(H: Hypergraph3) -> int:
-    """Maximum of d_H(D) over all pairs D of vertices."""
-    if H.n < 2:
-        raise ValueError(f"need n >= 2, got n={H.n}")
-    best = 0
-    counts: dict[Pair, int] = {}
-    for a, b, c in H.edges:
-        for p in ((a, b), (a, c), (b, c)):
-            counts[p] = counts.get(p, 0) + 1
-            best = max(best, counts[p])
-    return best
-
-
 def complement(G: Graph2) -> Graph2:
     present = G._edge_set
     edges = [p for p in combinations(range(1, G.n + 1), 2) if p not in present]
@@ -320,34 +239,10 @@ def complement(G: Graph2) -> Graph2:
 
 def induced(H: Hypergraph3, S: Iterable[int]) -> tuple[Hypergraph3, dict[int, int]]:
     """Subhypergraph induced by S, relabelled to 1..|S| order-preservingly."""
-    fs = _check_subset(H.n, S)
-    removed = frozenset(range(1, H.n + 1)) - fs
-    lab = _removal_map(H.n, removed)
+    fs = frozenset(S)
+    for v in fs:
+        if not 1 <= v <= H.n:
+            raise ValueError(f"vertex {v} out of range 1..{H.n}")
+    lab = {v: i for i, v in enumerate(sorted(fs), 1)}
     edges = [tuple(lab[x] for x in e) for e in H.edges if all(x in fs for x in e)]
     return Hypergraph3.from_edges(len(fs), edges), lab
-
-
-def remove_vertices(H: Hypergraph3, R: Iterable[int]) -> tuple[Hypergraph3, dict[int, int]]:
-    """H minus the vertices of R, relabelled order-preservingly."""
-    fs = _check_subset(H.n, R)
-    keep = frozenset(range(1, H.n + 1)) - fs
-    return induced(H, keep)
-
-
-def graph_remove_vertices(G: Graph2, R: Iterable[int]) -> tuple[Graph2, dict[int, int]]:
-    """G minus the vertices of R, relabelled order-preservingly."""
-    fs = _check_subset(G.n, R)
-    lab = _removal_map(G.n, fs)
-    edges = [(lab[a], lab[b]) for a, b in G.edges if a not in fs and b not in fs]
-    return Graph2.from_edges(G.n - len(fs), edges), lab
-
-
-def join(G1: Graph2, G2: Graph2) -> Graph2:
-    """Join of two graphs: disjoint union plus all cross edges.
-
-    G2's vertices are shifted up by G1.n.
-    """
-    edges: list[Pair] = list(G1.edges)
-    edges.extend((a + G1.n, b + G1.n) for a, b in G2.edges)
-    edges.extend((a, b + G1.n) for a in range(1, G1.n + 1) for b in range(1, G2.n + 1))
-    return Graph2.from_edges(G1.n + G2.n, edges)

@@ -8,10 +8,11 @@ sit exactly on the boundary.  A "holds" or "fails" also needs the exact
 Collatz-Wielandt certificates of the link spectra; without them it is
 indeterminate too.
 
-Verdict semantics: violations of proven statements inside their
-hypothesis are tagged ``bug_suspect`` (an implementation bug, by
-definition), and outside it ``skipped`` with a note; violations of the
-conjecture are tagged ``counterexample`` (a reportable finding).
+Verdict semantics: a failed conclusion outside the statement's own
+hypothesis is ``skipped`` with a note, in every mode, since the statement
+says nothing there.  Inside it, a violation of a proven statement is tagged
+``bug_suspect`` (an implementation bug, by definition) and a violation of a
+conjecture ``counterexample`` (a reportable finding).
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ def verify_theorem(
 
     if ok:
         return replace(rep, verdict="consistent", **extra)
+    if notes:  # no statement says anything outside its hypothesis
+        return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",), **extra)
     if mode.startswith("conj"):
         return replace(rep, verdict="counterexample", instance=H, **extra)
-    if notes:  # a proven statement says nothing outside its hypothesis
-        return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",), **extra)
     return replace(rep, verdict="bug_suspect", instance=H, **extra)
 
 

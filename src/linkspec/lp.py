@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,10 +37,6 @@ _INT64_SAFE = 1 << 30
 _WEIGHT_SUM_SAFE = (1 << 61) // 3
 
 
-def _common_denominator(fractions: Iterable[Fraction]) -> int:
-    return reduce(lcm, (f.denominator for f in fractions), 1)
-
-
 def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarray, int]:
     """Vertex weights in [0, 1] as integers over their common denominator D.
 
@@ -49,7 +45,7 @@ def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarra
     below _WEIGHT_SUM_SAFE and an object array of Python ints otherwise, so
     sums of three entries are exact either way.
     """
-    D = _common_denominator(weights.values())
+    D = reduce(lcm, (w.denominator for w in weights.values()), 1)
     W = np.zeros(n + 1, dtype=np.int64 if D < _WEIGHT_SUM_SAFE else object)
     for v, w in weights.items():
         if 1 <= v <= n:
@@ -107,55 +103,6 @@ def _simplex_core(T: np.ndarray, nv: int, m: int) -> tuple[np.ndarray, list[int]
         den = int(piv)
         basis[leave] = enter
     return T, basis, den
-
-
-def simplex_max(
-    c: list[Fraction],
-    rows: list[list[Fraction]],
-    b: list[Fraction],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Maximize c.x subject to rows.x <= b, x >= 0, with b >= 0.
-
-    Exact primal simplex with Bland's rule.  Returns (optimum, x, duals)
-    where duals are the optimal multipliers of the <= constraints.
-
-    This is the rational front end of `_simplex_core`: it scales the
-    objective and each constraint row to integers, solves the integer
-    tableau, and converts the result back to Fractions, undoing the scales.
-    The pivot sequence is identical to a rational-tableau simplex.
-    """
-    m = len(rows)
-    nv = len(c)
-    cf = [Fraction(x) for x in c]
-    bf = [Fraction(x) for x in b]
-    if any(x < 0 for x in bf):
-        raise ValueError("right-hand side must be nonnegative")
-    # Scale the objective and each constraint row to integers.  Row scaling
-    # by a positive constant changes neither feasibility nor the optimum,
-    # and is undone on the duals below.
-    obj_scale = _common_denominator(cf)
-    row_scale = []
-    # Tableau: m constraint rows [A | I | b], then the objective row [-c | 0 | 0].
-    rhs = nv + m
-    data: list[list[int]] = []
-    for i in range(m):
-        rf = [Fraction(x) for x in rows[i]]
-        s = lcm(_common_denominator(rf), bf[i].denominator)
-        row_scale.append(s)
-        data.append([int(f * s) for f in rf] + [0] * m + [int(bf[i] * s)])
-        data[i][nv + i] = 1  # unit slack column; the initial basis is the identity
-    data.append([-int(f * obj_scale) for f in cf] + [0] * (m + 1))
-    big = max((abs(x) for row in data for x in row), default=0) >= _INT64_SAFE
-    T, basis, den = _simplex_core(np.array(data, dtype=object if big else np.int64), nv, m)
-    x = [ZERO] * nv
-    for i, bv in enumerate(basis):
-        if bv < nv:
-            x[bv] = Fraction(int(T[i, rhs]), den)
-    value = Fraction(int(T[m, rhs]), den * obj_scale)
-    duals = [
-        Fraction(int(T[m, nv + i]) * row_scale[i], den * obj_scale) for i in range(m)
-    ]
-    return value, x, duals
 
 
 @dataclass(frozen=True)
@@ -253,18 +200,3 @@ def fractional_matching(
     primal.validate(H)
     dual.validate(H)
     return DualityCertificate(primal, dual)
-
-
-def has_perfect_fractional_matching(
-    H: Hypergraph3,
-    limit: int | None = DEFAULT_TRIPLE_LIMIT,
-) -> tuple[bool, FractionalAssignment | None]:
-    """Whether nu*(H) = n/3 exactly; a witness with all constraints tight if so.
-
-    Any optimum of value n/3 is automatically tight at every vertex, since
-    the vertex loads sum to three times the matching value.
-    """
-    cert = fractional_matching(H, limit)
-    if cert.value == Fraction(H.n, 3):
-        return True, cert.primal
-    return False, None

@@ -3,15 +3,17 @@
 2-graph maximum matching is delegated to networkx's blossom implementation
 (exact on general graphs); networkx is imported on first use, so only the
 link-matching lift pays for it.  3-graph maximum matching is a deterministic
-branch-and-bound over edge inclusion, pruned by the floor(remaining/3)
-bound, a greedy hitting-set bound, and an optional exact-LP root bound.
+branch-and-bound over edge inclusion, seeded with a first-fit matching and
+pruned by the floor(remaining/3) bound, a greedy hitting-set bound, and an
+optional exact-LP root bound; `find_matching_of_size` stops it at the first
+matching of the asked size, which is how the verification modes get their
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
@@ -19,22 +21,8 @@ from .graphs import Graph2, Hypergraph3, Pair, Triple
 from .lp import DEFAULT_TRIPLE_LIMIT, LpSizeError, fractional_matching
 
 DEFAULT_BUDGET = 10**7
-
-
-class NotAHittingSetError(ValueError):
-    """C misses an edge; `witness` is one edge disjoint from C."""
-
-    def __init__(self, witness: Triple):
-        super().__init__(f"edge {witness} is disjoint from the candidate hitting set")
-        self.witness = witness
-
-
-class GreedyExtendError(RuntimeError):
-    """No admissible edge through `vertex` during greedy extension."""
-
-    def __init__(self, vertex: int):
-        super().__init__(f"no available edge through vertex {vertex}")
-        self.vertex = vertex
+#: rows of an edge block that the first-fit scan converts to Python at a time
+_FIT_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -85,18 +73,6 @@ def max_matching_graph(G: Graph2) -> tuple[int, list[Pair]]:
     return len(pairs), pairs
 
 
-def hitting_set_bound(H: Hypergraph3, C: Iterable[int]) -> int:
-    """Certify nu(H) <= |C| by checking that C meets every edge."""
-    fs = frozenset(C)
-    for v in fs:
-        if not 1 <= v <= H.n:
-            raise ValueError(f"vertex {v} out of range 1..{H.n}")
-    for e in H.edges:
-        if not fs & set(e):
-            raise NotAHittingSetError(e)
-    return len(fs)
-
-
 def _greedy_hitting_bound(edge_masks: list[int], n: int) -> int:
     """Size of a greedy hitting set of the given edges: an upper bound on nu."""
     remaining = list(edge_masks)
@@ -122,8 +98,9 @@ def _greedy_matching(E: np.ndarray, n: int) -> list[Triple]:
     The edges with first vertex a form one block of rows, found by
     `searchsorted` on column 0.  A block whose first vertex is taken is
     skipped whole; otherwise its first edge whose other two vertices are
-    free is taken.  The scan ends once fewer than 3 vertices are free: no
-    later edge can fit.
+    free is taken.  A block is converted to Python `_FIT_SLICE` rows at a
+    time, since the first fit is usually near its start.  The scan ends once
+    fewer than 3 vertices are free: no later edge can fit.
     """
     bounds = np.searchsorted(E[:, 0], np.arange(1, n + 2)).tolist()
     used = 0
@@ -133,10 +110,12 @@ def _greedy_matching(E: np.ndarray, n: int) -> list[Triple]:
             break
         if used >> a & 1:
             continue
-        for b, c in E[bounds[a - 1] : bounds[a], 1:].tolist():
-            if not (used >> b & 1 or used >> c & 1):
-                out.append((a, b, c))
-                used |= 1 << a | 1 << b | 1 << c
+        for lo in range(bounds[a - 1], bounds[a], _FIT_SLICE):
+            rows = E[lo : min(lo + _FIT_SLICE, bounds[a]), 1:].tolist()
+            fit = next(((b, c) for b, c in rows if not (used >> b & 1 or used >> c & 1)), None)
+            if fit is not None:
+                out.append((a, *fit))
+                used |= 1 << a | 1 << fit[0] | 1 << fit[1]
                 break
     return out
 
@@ -241,47 +220,3 @@ def find_matching_of_size(
     if res.size >= k:
         return res.matching, True
     return None, res.exact
-
-
-def high_degree_set(H: Hypergraph3, s: int) -> frozenset[int]:
-    """Vertices of degree greater than 3s(n-2)."""
-    cut = 3 * s * (H.n - 2)
-    return frozenset(v for v in range(1, H.n + 1) if H.degree_of(v) > cut)
-
-
-def greedy_extend(
-    H: Hypergraph3,
-    M0: Matching3,
-    R: Iterable[int],
-    s: int,
-) -> Matching3:
-    """Extend a matching of H-R by one edge through each vertex of R.
-
-    R is processed in decreasing degree order (ties by label); each step
-    takes the lexicographically smallest edge through the current vertex
-    that avoids every previously used vertex and every other vertex of R.
-    Raises GreedyExtendError naming the first stuck vertex.
-    """
-    rset = frozenset(R)
-    for v in rset:
-        if not 1 <= v <= H.n:
-            raise ValueError(f"vertex {v} out of range 1..{H.n}")
-    if M0.vertices & rset:
-        raise ValueError("M0 must be a matching of H - R")
-    M0.validate_in(H)
-    used = set(M0.vertices)
-    order = sorted(rset, key=lambda v: (-H.degree_of(v), v))
-    chosen = list(M0.edges)
-    for v in order:
-        forbidden = used | (rset - {v})
-        pick = None
-        for i in H.incidence[v - 1]:
-            e = H.edges[i]
-            if not forbidden & set(e):
-                pick = e
-                break
-        if pick is None:
-            raise GreedyExtendError(v)
-        chosen.append(pick)
-        used.update(pick)
-    return Matching3(tuple(sorted(chosen)))

@@ -355,41 +355,3 @@ def threshold_fyz(m: int, n: int) -> float:
     if n == 3 * m + 2:
         return float(2 * m)
     return threshold_match(m, n + 1)  # the split graph K_m v co-K_{n-m}
-
-
-@dataclass(frozen=True)
-class CommonEdgesVerdict:
-    """Outcome of the large-spectral-sum common-edges check."""
-
-    status: str  # "not_applicable" | "holds" | "violated"
-    n: int
-    gamma: float
-    rho_sum: float
-    common_edges: int | None
-    required: float | None
-
-
-def lemma24_common_edges_check(
-    G1: Graph2,
-    G2: Graph2,
-    gamma: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CommonEdgesVerdict:
-    """Check |E(G1) cap E(G2)| >= gamma^2 n^2 / 2 when the spectral sum is large.
-
-    Applicable only when rho(G1) + rho(G2) >= (4/3 + gamma) n.  The verdict
-    records n: the inequality is asymptotic, so small-n violations are
-    expected to be out of its regime rather than bugs.
-    """
-    if G1.n != G2.n:
-        raise ValueError(f"vertex counts differ: {G1.n} != {G2.n}")
-    if not 0 < gamma < 0.25:
-        raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
-    n = G1.n
-    rho_sum = spectral_radius(G1, tolerance).value + spectral_radius(G2, tolerance).value
-    if rho_sum < (4.0 / 3.0 + gamma) * n:
-        return CommonEdgesVerdict("not_applicable", n, gamma, rho_sum, None, None)
-    common = len(set(G1.edges) & set(G2.edges))
-    required = gamma * gamma * n * n / 2.0
-    status = "holds" if common >= required else "violated"
-    return CommonEdgesVerdict(status, n, gamma, rho_sum, common, required)

@@ -173,7 +173,7 @@ def ref_nu_frac(H: Hypergraph3) -> Fraction:
     """nu*(H) via the reference simplex."""
     if H.m == 0:
         return ZERO
-    touched = [v for v in range(1, H.n + 1) if H.incidence[v - 1]]
+    touched = sorted({v for e in H.edges for v in e})
     rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
     value, _, _ = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
     return value

@@ -185,11 +185,21 @@ class TestCheck:
         assert code == 0 and report["condition"] == "holds" and report["verdict"] == "consistent"
         assert built == []
 
-    def test_strict_exit_on_out_of_range_counterexample(self, capsys, tmp_path):
-        # n=5 < 3s+3 is conjecture territory by construction: the spectral
-        # condition holds but no 2-matching fits in 5 vertices, so the
-        # counterexample exit path is exercised deterministically
+    def test_strict_exit_on_out_of_range_counterexample(self, capsys, tmp_path, monkeypatch):
+        # n=5 < 3s+3 lies outside the conjecture's hypothesis: the spectral
+        # condition holds and no 2-matching fits in 5 vertices, but that is
+        # no finding, so even --strict exits 0
         path = gen_file(capsys, tmp_path, "k5.h3", "--family", "complete", "--n", "5")
+        code, out, _ = run(
+            capsys, "check", path, "--s", "1", "--mode", "conj-matching",
+            "--strict", "--no-timing",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["report"]["verdict"] == "skipped"
+        # K6 at s = 1 meets the hypothesis (n = 3s+3); a search that finds no
+        # 2-matching there makes it a counterexample, which --strict exits on
+        path = gen_file(capsys, tmp_path, "k6.h3", "--family", "complete", "--n", "6")
+        monkeypatch.setattr(harness, "find_matching_of_size", lambda *a: (None, True))
         code, out, _ = run(
             capsys, "check", path, "--s", "1", "--mode", "conj-matching",
             "--strict", "--no-timing",

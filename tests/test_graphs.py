@@ -8,19 +8,7 @@ import numpy as np
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2, split_graph
-from linkspec.graphs import (
-    Graph2,
-    Hypergraph3,
-    complement,
-    degree,
-    graph_remove_vertices,
-    induced,
-    join,
-    link_graph,
-    max_codegree,
-    min_l_degree,
-    remove_vertices,
-)
+from linkspec.graphs import Graph2, Hypergraph3, complement, induced, link_graph
 
 from conftest import rand_3graph, rand_graph
 
@@ -95,14 +83,14 @@ class TestValidation:
 
     def test_adjacency_consistency(self):
         G = Graph2(4, ((1, 2), (2, 3)))
-        assert G.neighbors(2) == (1, 3)
+        assert G.adjacency[1] == 0b101  # the neighbours of 2 are 1 and 3
         assert G.degree_of(4) == 0
         assert G.has_edge(3, 2) and not G.has_edge(1, 3)
 
     def test_incidence(self):
         H = Hypergraph3(5, ((1, 2, 3), (1, 4, 5)))
-        assert H.incidence[0] == (0, 1)
-        assert H.degree_of(1) == 2 and H.degree_of(2) == 1
+        assert np.flatnonzero((H.edge_array == 1).any(axis=1)).tolist() == [0, 1]
+        assert link_graph(H, 1)[0].m == 2 and link_graph(H, 2)[0].m == 1
         assert H.has_edge((3, 2, 1))
 
 
@@ -185,7 +173,7 @@ class TestLinkGraph:
         for _ in range(30):
             H = rand_3graph(rng.randint(3, 9), rng.random(), rng)
             v = rng.randint(1, H.n)
-            assert link_graph(H, v)[0].m == degree(H, {v})
+            assert link_graph(H, v)[0].m == (H.edge_array == v).any(axis=1).sum()
 
     def test_link_commutes_with_vertex_removal(self):
         rng = random.Random(12)
@@ -193,48 +181,55 @@ class TestLinkGraph:
             H = rand_3graph(rng.randint(4, 9), rng.random(), rng)
             v = rng.randint(1, H.n)
             r = rng.choice([u for u in range(1, H.n + 1) if u != v])
-            HR, lab_h = remove_vertices(H, {r})
+            HR, lab_h = induced(H, [u for u in range(1, H.n + 1) if u != r])
             left, _ = link_graph(HR, lab_h[v])
             whole, lab_l = link_graph(H, v)
-            right, _ = graph_remove_vertices(whole, {lab_l[r]})
+            # the link of v minus r, with the labels above r's moved down by one
+            x = lab_l[r]
+            right = Graph2.from_edges(
+                whole.n - 1, [(a - (a > x), b - (b > x)) for a, b in whole.edges if x not in (a, b)]
+            )
             assert left == right
 
 
+def vertex_degrees(H: Hypergraph3) -> list[int]:
+    """d(v) for v = 1..n, as the edge count of each link."""
+    return [link_graph(H, v)[0].m for v in range(1, H.n + 1)]
+
+
+def codegrees(H: Hypergraph3) -> list[int]:
+    """d(uv) over all pairs, as the degree of u in the link of v."""
+    out = []
+    for v in range(1, H.n + 1):
+        link, lab = link_graph(H, v)
+        out += [link.degree_of(lab[u]) for u in range(v + 1, H.n + 1)]
+    return out
+
+
 class TestDegrees:
+    # the degree statistics of the constructions, read off their link graphs
     def test_degree_examples(self):
         K5 = complete_3graph(5).hypergraph
-        assert degree(K5, {1}) == 6
-        assert degree(K5, {1, 2}) == 3
-        assert degree(h1(2, 9).hypergraph, ()) == 49
-
-    def test_degree_rejects_large_sets(self):
-        with pytest.raises(ValueError):
-            degree(complete_3graph(5).hypergraph, {1, 2, 3, 4})
+        assert vertex_degrees(K5) == [6] * 5
+        assert codegrees(K5) == [3] * 10
+        assert h1(2, 9).hypergraph.m == 49
 
     def test_min_l_degree_examples(self):
-        K5 = complete_3graph(5).hypergraph
-        assert min_l_degree(K5, 1) == 6
-        assert min_l_degree(h1(2, 9).hypergraph, 1) == 13
-        H = h2(3, 9).hypergraph
-        assert min_l_degree(H, 0) == H.m
-        with pytest.raises(ValueError):
-            min_l_degree(K5, 3)
+        assert min(vertex_degrees(complete_3graph(5).hypergraph)) == 6
+        assert min(vertex_degrees(h1(2, 9).hypergraph)) == 13
 
     def test_max_codegree_examples(self):
-        assert max_codegree(complete_3graph(7).hypergraph) == 5
+        assert max(codegrees(complete_3graph(7).hypergraph)) == 5
         pm = Hypergraph3(6, ((1, 2, 3), (4, 5, 6)))
-        assert max_codegree(pm) == 1
-        assert max_codegree(h2(3, 9).hypergraph) == 7
+        assert max(codegrees(pm)) == 1
+        assert max(codegrees(h2(3, 9).hypergraph)) == 7
 
     def test_degree_sum_identities(self):
         rng = random.Random(13)
         for _ in range(25):
             H = rand_3graph(rng.randint(3, 9), rng.random(), rng)
-            assert sum(degree(H, {v}) for v in range(1, H.n + 1)) == 3 * H.m
-            assert (
-                sum(degree(H, p) for p in combinations(range(1, H.n + 1), 2))
-                == 3 * H.m
-            )
+            assert sum(vertex_degrees(H)) == 3 * H.m
+            assert sum(codegrees(H)) == 3 * H.m
 
 
 class TestConstructions:
@@ -248,13 +243,12 @@ class TestConstructions:
             assert G.m + complement(G).m == G.n * (G.n - 1) // 2
 
     def test_join_split_graph(self):
-        K2 = complete_graph(2)
-        empty4 = Graph2(4, ())
-        expected, _ = split_graph(2, 6)
-        assert join(K2, empty4) == expected
+        # K_2 joined with 4 isolated vertices: the edge 12 and every cross pair
+        cross = [(a, b) for a in (1, 2) for b in range(3, 7)]
+        assert split_graph(2, 6)[0] == Graph2.from_edges(6, [(1, 2)] + cross)
 
     def test_remove_all_hub_vertices_empties_h1(self):
-        H, lab = remove_vertices(h1(2, 9).hypergraph, {1, 2})
+        H, lab = induced(h1(2, 9).hypergraph, range(3, 10))
         assert H.n == 7 and H.m == 0
         assert lab == {v: v - 2 for v in range(3, 10)}
 
@@ -274,4 +268,4 @@ class TestConstructions:
         with pytest.raises(ValueError):
             induced(complete_3graph(5).hypergraph, {9})
         with pytest.raises(ValueError):
-            graph_remove_vertices(complete_graph(4), {0})
+            induced(complete_3graph(5).hypergraph, {0})

@@ -131,14 +131,14 @@ class TestVerifyTheorem:
 
     def test_out_of_hypothesis_violations_are_tagged(self):
         # n=5 < 3s+3: the conjecture/theorem hypotheses fail, and the
-        # conclusions are false for the complete 3-graph, so the tagging
-        # paths are exercised without any actual finding; a proven
-        # statement says nothing there, so its failure is no bug suspect
+        # conclusions are false for the complete 3-graph; no statement says
+        # anything there, so its failure is neither a counterexample nor a
+        # bug suspect
         H = complete_3graph(5).hypergraph
         rep = verify_theorem(H, 1, "conj_matching")
-        assert rep.condition == "holds" and rep.verdict == "counterexample"
+        assert rep.condition == "holds" and rep.verdict == "skipped" and rep.instance is None
         assert any("3s+3" in note for note in rep.notes)
-        assert rep.instance == H
+        assert rep.notes[-1] == "skipped: conclusion fails outside the hypothesis"
         rep = verify_theorem(H, 1, "thm13")
         assert rep.verdict == "skipped" and rep.instance is None
         assert rep.nu_frac == Fraction(5, 3)
@@ -156,6 +156,8 @@ class TestVerifyTheorem:
         rep = verify_theorem(H, 1, "thm13")
         assert rep.condition == "holds" and rep.notes == ()
         assert rep.verdict == "bug_suspect" and rep.instance == H
+        rep = verify_theorem(H, 1, "conj_matching")  # a conjecture fails there as a finding
+        assert rep.verdict == "counterexample" and rep.instance == H
 
     def test_exhaustive_search_outside_the_hypothesis_has_no_bug_suspects(self):
         # every condition-holding 3-graph on 5 vertices fails nu* >= 2, and

@@ -15,35 +15,45 @@ from linkspec.lp import (
     _INT64_SAFE,
     _simplex_core,
     fractional_matching,
-    has_perfect_fractional_matching,
-    simplex_max,
 )
 
 from conftest import ZERO, ONE, brute_nu_3graph, rand_3graph, ref_nu_frac, ref_simplex_max
 
 
+def core_max(c, rows, b):
+    """Maximize c.x s.t. rows.x <= b, x >= 0 (integer data, b >= 0) with the
+    library's integer-tableau simplex: (value, x, duals) as Fractions, and
+    whether the tableau was promoted to Python ints."""
+    m, nv = len(rows), len(c)
+    T = np.array(
+        [r + [int(i == j) for j in range(m)] + [bi] for i, (r, bi) in enumerate(zip(rows, b))]
+        + [[-x for x in c] + [0] * (m + 1)],
+        dtype=np.int64,
+    )
+    T, basis, den = _simplex_core(T, nv, m)
+    x = [ZERO] * nv
+    for i, bv in enumerate(basis):
+        if bv < nv:
+            x[bv] = Fraction(int(T[i, nv + m]), den)
+    duals = [Fraction(int(T[m, nv + i]), den) for i in range(m)]
+    return Fraction(int(T[m, nv + m]), den), x, duals, T.dtype == object
+
+
+def ref_max(c, rows, b):
+    """The same LP on the reference Fraction tableau."""
+    return ref_simplex_max([Fraction(a) for a in c], [[Fraction(a) for a in r] for r in rows], [Fraction(a) for a in b])
+
+
 class TestSimplex:
     def test_tiny_lp(self):
         # max x + y  s.t.  x <= 1, y <= 2
-        value, x, duals = simplex_max(
-            [ONE, ONE], [[ONE, ZERO], [ZERO, ONE]], [ONE, Fraction(2)]
-        )
+        value, x, duals, _ = core_max([1, 1], [[1, 0], [0, 1]], [1, 2])
         assert value == 3 and x == [ONE, Fraction(2)] and duals == [ONE, ONE]
 
-    def test_fractional_coefficients(self):
-        # max 3x  s.t.  (1/2)x <= 5/4  ->  x = 5/2, dual = 6
-        value, x, duals = simplex_max([Fraction(3)], [[Fraction(1, 2)]], [Fraction(5, 4)])
-        assert value == Fraction(15, 2)
-        assert x == [Fraction(5, 2)]
-        assert duals == [Fraction(6)]
-
-    def test_negative_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            simplex_max([ONE], [[ONE]], [Fraction(-1)])
-
     def test_unbounded_detected(self):
+        # max x  s.t.  -x <= 1: the 1 x 1 tableau [-1 | 1 | 1] over the objective row [-1 | 0 | 0]
         with pytest.raises(ArithmeticError):
-            simplex_max([ONE], [[Fraction(-1)]], [ONE])
+            _simplex_core(np.array([[-1, 1, 1], [-1, 0, 0]]), 1, 1)
 
     def test_matches_rational_reference_on_random_lps(self):
         # the library solver pivots on an integer tableau; the reference
@@ -52,16 +62,13 @@ class TestSimplex:
         rng = random.Random(31)
         for _ in range(150):
             m, nv = rng.randint(1, 6), rng.randint(1, 8)
-            c = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(nv)]
-            rows = [
-                [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(nv)]
-                for _ in range(m)
-            ]
-            b = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(m)]
+            c = [rng.randint(0, 9) for _ in range(nv)]
+            rows = [[rng.randint(0, 5) for _ in range(nv)] for _ in range(m)]
+            b = [rng.randint(0, 9) for _ in range(m)]
             for j in range(nv):  # keep the LP bounded
                 if all(rows[i][j] == 0 for i in range(m)):
-                    rows[rng.randrange(m)][j] = ONE
-            assert simplex_max(c, rows, b) == ref_simplex_max(c, rows, b)
+                    rows[rng.randrange(m)][j] = 1
+            assert core_max(c, rows, b)[:3] == ref_max(c, rows, b)
 
     def test_core_promotes_to_bigints_mid_solve(self):
         # int64 entries below the safe bound whose pivot minors outgrow it:
@@ -73,28 +80,15 @@ class TestSimplex:
             c = [rng.randint(1, 9) for _ in range(k)]
             rows = [[rng.randint(0, 2000) for _ in range(k)] for _ in range(k)]
             b = [rng.randint(1000, 5000) for _ in range(k)]
-            T = np.array(
-                [r + [int(i == j) for j in range(k)] + [bi] for i, (r, bi) in enumerate(zip(rows, b))]
-                + [[-x for x in c] + [0] * (k + 1)],
-                dtype=np.int64,
-            )
-            assert np.abs(T).max() < _INT64_SAFE
-            T, basis, den = _simplex_core(T, k, k)
-            promoted += T.dtype == object
-            x = [ZERO] * k
-            for i, bv in enumerate(basis):
-                if bv < k:
-                    x[bv] = Fraction(int(T[i, 2 * k]), den)
-            duals = [Fraction(int(T[k, k + i]), den) for i in range(k)]
-            value = Fraction(int(T[k, 2 * k]), den)
-            as_fractions = [[Fraction(a) for a in r] for r in rows]
-            ref = ref_simplex_max([Fraction(a) for a in c], as_fractions, [Fraction(a) for a in b])
-            assert (value, x, duals) == ref
+            assert max(map(max, rows + [b, c])) < _INT64_SAFE
+            *solution, bigints = core_max(c, rows, b)
+            promoted += bigints
+            assert tuple(solution) == ref_max(c, rows, b)
         assert promoted >= 5
 
     def test_big_integer_coefficients_stay_exact(self):
-        big = Fraction(1 << 62)
-        value, x, duals = simplex_max([ONE], [[ONE]], [big])
+        big = 1 << 62
+        value, x, duals, _ = core_max([1], [[1]], [big])
         assert value == big and x == [big] and duals == [ONE]
 
 
@@ -190,7 +184,7 @@ class TestFractionalMatching:
             H = rand_3graph(rng.randint(4, 12), rng.random(), rng)
             if H.m == 0:
                 continue
-            touched = [v for v in range(1, H.n + 1) if H.incidence[v - 1]]
+            touched = sorted({v for e in H.edges for v in e})
             rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
             value, x, duals = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
             cert = fractional_matching(H)
@@ -200,9 +194,10 @@ class TestFractionalMatching:
 
 
 class TestPerfectFractionalMatching:
+    # a perfect fractional matching is an optimum of value n/3
     def test_complete6(self):
-        ok, witness = has_perfect_fractional_matching(complete_3graph(6).hypergraph)
-        assert ok and witness is not None
+        witness = fractional_matching(complete_3graph(6).hypergraph).primal
+        assert witness.value == 2
         loads: dict[int, Fraction] = {}
         for e, w in witness.weights.items():
             for v in e:
@@ -210,8 +205,7 @@ class TestPerfectFractionalMatching:
         assert all(loads[v] == 1 for v in range(1, 7))
 
     def test_h1_is_not_perfect(self):
-        ok, witness = has_perfect_fractional_matching(h1(2, 9).hypergraph)
-        assert not ok and witness is None
+        assert fractional_matching(h1(2, 9).hypergraph).value == 2 < Fraction(9, 3)
 
     def test_fano_is_perfect(self, fano):
-        assert has_perfect_fractional_matching(fano)[0]
+        assert fractional_matching(fano).value == Fraction(7, 3)

@@ -1,23 +1,12 @@
 """Exact matching numbers: blossom for 2-graphs, branch-and-bound for 3-graphs."""
 
 import random
-from itertools import combinations
 
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2, split_graph
 from linkspec.graphs import Graph2, Hypergraph3
-from linkspec.matching import (
-    GreedyExtendError,
-    Matching3,
-    NotAHittingSetError,
-    find_matching_of_size,
-    greedy_extend,
-    high_degree_set,
-    hitting_set_bound,
-    max_matching_3graph,
-    max_matching_graph,
-)
+from linkspec.matching import Matching3, find_matching_of_size, max_matching_3graph, max_matching_graph
 
 from conftest import brute_nu_3graph, brute_nu_graph, rand_3graph, rand_graph
 
@@ -128,76 +117,17 @@ class TestThreeGraphMatching:
             if H.m:
                 assert res.matching.edges == first_fit(H) and res.nodes == 0
 
+    def test_first_fit_found_past_the_first_slice(self):
+        # vertex 2's block opens with 44 rows through the taken vertex 49, so
+        # its first fit lies beyond the first slice of rows the scan converts
+        n = 50
+        block = [(2, b, n - 1) for b in range(3, n - 2)] + [(2, n - 3, n - 2)]
+        H = Hypergraph3.from_edges(n, [(1, n - 1, n)] + block)
+        assert max_matching_3graph(H, target=1).matching.edges == ((1, n - 1, n), (2, n - 3, n - 2))
+
 
 class TestHittingSetBound:
     def test_extremal_certificates(self):
-        assert hitting_set_bound(h1(3, 12).hypergraph, range(1, 4)) == 3
-        assert hitting_set_bound(h2(3, 12).hypergraph, range(1, 6)) == 5
-
-    def test_rejection_carries_witness(self):
-        with pytest.raises(NotAHittingSetError) as err:
-            hitting_set_bound(complete_3graph(6).hypergraph, {1})
-        assert err.value.witness == (2, 3, 4)
-
-    def test_vertex_range_checked(self):
-        with pytest.raises(ValueError):
-            hitting_set_bound(complete_3graph(6).hypergraph, {7})
-
-
-class TestHighDegreeSet:
-    def test_complete_graph_all_heavy(self):
-        H = complete_3graph(20).hypergraph
-        assert high_degree_set(H, 1) == frozenset(range(1, 21))
-
-    def test_empty(self):
-        assert high_degree_set(Hypergraph3(9, ()), 2) == frozenset()
-
-    def test_h1_hub_only(self):
-        # d(1) = C(11,2) = 55 > 3*1*10 = 30; every other vertex has degree 10
-        assert high_degree_set(h1(1, 12).hypergraph, 1) == frozenset({1})
-
-
-class TestGreedyExtend:
-    def test_empty_r_returns_m0(self):
-        H = complete_3graph(9).hypergraph
-        M0 = Matching3(((1, 2, 3),))
-        assert greedy_extend(H, M0, (), 1) == M0
-
-    def test_complete_graph_extension(self):
-        H = complete_3graph(12).hypergraph
-        M = greedy_extend(H, Matching3(()), {1, 2, 3}, 2)
-        assert len(M) == 3
-        M.validate_in(H)
-        assert all(any(v in e for e in M.edges) for v in (1, 2, 3))
-
-    def test_h1_extension(self):
-        H = h1(2, 20).hypergraph
-        M = greedy_extend(H, Matching3(()), {1, 2}, 1)
-        assert len(M) == 2
-        M.validate_in(H)
-
-    def test_failure_names_stuck_vertex(self):
-        # both R-vertices only have edges through each other, so the second
-        # one processed cannot be matched disjointly
-        H = Hypergraph3(7, ((1, 2, 3), (1, 2, 4)))
-        with pytest.raises(GreedyExtendError) as err:
-            greedy_extend(H, Matching3(()), {1, 2}, 1)
-        assert err.value.vertex in (1, 2)
-
-    def test_m0_must_avoid_r(self):
-        H = complete_3graph(9).hypergraph
-        with pytest.raises(ValueError):
-            greedy_extend(H, Matching3(((1, 2, 3),)), {3}, 1)
-
-    def test_output_always_disjoint(self):
-        rng = random.Random(44)
-        done = 0
-        while done < 25:
-            H = rand_3graph(9, 0.7, rng)
-            r = rng.sample(range(1, 10), 2)
-            try:
-                M = greedy_extend(H, Matching3(()), r, 1)
-            except GreedyExtendError:
-                continue
-            M.validate_in(H)  # Matching3 already enforces disjointness
-            done += 1
+        # a set meeting every edge bounds nu by its size: [3] for h1(3, 12), [5] for h2(3, 12)
+        assert (h1(3, 12).hypergraph.edge_array[:, 0] <= 3).all()
+        assert (h2(3, 12).hypergraph.edge_array[:, 0] <= 5).all()

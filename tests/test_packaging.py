@@ -1,9 +1,11 @@
-"""The package imports only the standard library and its declared dependencies."""
+"""The package imports only the standard library and its declared dependencies,
+and exports exactly its pinned public API."""
 
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,34 @@ def test_import_and_check_leave_networkx_unloaded(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["False"]
+
+
+PUBLIC_API = {
+    # graphs
+    "Graph2", "Hypergraph3", "complement", "induced", "link_graph",
+    # spectral
+    "LinkSpectra", "SpectralReport", "hong_bound", "link_spectra", "spectral_radius",
+    "stanley_bound", "terpai_gap", "threshold_fyz", "threshold_match",
+    # matching
+    "Matching3", "Matching3Result", "max_matching_3graph", "max_matching_graph",
+    # lp
+    "DualityCertificate", "FractionalAssignment", "fractional_matching",
+    # constructions
+    "LabeledInstance", "complete_3graph", "enumerate_3graphs", "h1", "h2", "random_3graph",
+    "split_graph",
+    # harness
+    "CheckReport", "ShiftedPair", "absorbing_sets", "check_condition", "lemma25_check",
+    "lift_link_matching", "search_exhaustive", "search_random", "shift", "shift_closure_holds",
+    "verify_theorem",
+}
+
+
+def test_public_api_is_pinned():
+    # a new public helper must be added here on purpose
+    import linkspec
+
+    exported = {
+        name for name, value in vars(linkspec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_API

@@ -18,7 +18,6 @@ from linkspec.spectral import (
     classify_condition,
     exact_threshold_match,
     hong_bound,
-    lemma24_common_edges_check,
     link_spectra,
     spectral_radius,
     stanley_bound,
@@ -322,26 +321,3 @@ class TestClassifyCondition:
     def test_nonconverged_is_indeterminate(self):
         for min_rho in (0.0, 3.0, 4.0, 5.0, 100.0):
             assert classify_condition(min_rho, 4.0, 1e-9, False) == "indeterminate"
-
-
-class TestCommonEdgesCheck:
-    def test_not_applicable_for_small_spectral_sum(self):
-        empty6 = Graph2(6, ())
-        assert lemma24_common_edges_check(empty6, empty6, 0.1).status == "not_applicable"
-        K30 = complete_graph(30)
-        empty30 = Graph2(30, ())
-        assert lemma24_common_edges_check(K30, empty30, 0.1).status == "not_applicable"
-
-    def test_holds_for_complete_pair(self):
-        K30 = complete_graph(30)
-        verdict = lemma24_common_edges_check(K30, K30, 0.1)
-        assert verdict.status == "holds"
-        assert verdict.common_edges == 435
-        assert verdict.required == pytest.approx(4.5)
-
-    def test_parameter_validation(self):
-        K4 = complete_graph(4)
-        with pytest.raises(ValueError):
-            lemma24_common_edges_check(K4, complete_graph(5), 0.1)
-        with pytest.raises(ValueError):
-            lemma24_common_edges_check(K4, K4, 0.3)
