@@ -33,7 +33,7 @@ from .harness import (
     verify_theorem,
     absorbing_sets,
 )
-from .lp import DEFAULT_TRIPLE_LIMIT, fractional_matching
+from .lp import DEFAULT_TRIPLE_LIMIT, LpSizeError, fractional_matching
 from .matching import DEFAULT_BUDGET, max_matching_3graph
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
@@ -53,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _triple_limit(text: str) -> int:
+    """The --limit value: a non-negative integer, 0 for no guard."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer (0 disables the guard), got {text!r}")
+    return limit
 
 
 def _jsonable(obj: Any) -> Any:
@@ -276,7 +287,7 @@ def build_parser() -> _Parser:
         p.add_argument("--eps", type=float, default=DEFAULT_COMPARISON_SLACK,
                        help="comparison slack for strict inequalities")
         if with_limit:
-            p.add_argument("--limit", type=int, default=DEFAULT_TRIPLE_LIMIT,
+            p.add_argument("--limit", type=_triple_limit, default=DEFAULT_TRIPLE_LIMIT,
                            help="C(n,3) guard for the exact LP; 0 disables the guard")
 
     p = sub.add_parser("gen", help="generate an instance file")
@@ -357,6 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"linkspec: error: {exc}", file=sys.stderr)
         return IO_ERROR
+    except LpSizeError as exc:  # str(exc) names the library's override, limit=None
+        print(f"linkspec: error: {exc.args[0]}; pass --limit 0 to override", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as exc:
         print(f"linkspec: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

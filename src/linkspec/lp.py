@@ -1,10 +1,16 @@
 """Exact fractional matching / vertex cover via rational simplex.
 
 The fractional matching LP (one variable per edge, one <=1 constraint per
-vertex) is solved over the rationals with Bland's rule, so the optimum is
-exact and cycling-free.  The dual optimum read off the final tableau is a
-minimum fractional vertex cover; primal value == dual value is the
-optimality certificate and is asserted on every solve.
+vertex) is solved over the rationals by a revised primal simplex with
+Bland's rule, so the optimum is exact and cycling-free.  The solver keeps
+only the fraction-free (Bareiss) inverse of the current basis, a
+(k+1) x (k+2) integer block for the k vertices that meet an edge, and
+prices the edge columns from the edge array when it needs them: a pivot
+costs O(w nv + k^2) for nv columns of w nonzeros each (w = 3 here),
+against O(k (nv + k)) for rewriting a full tableau.  Its pivots are the
+ones the full fraction-free tableau takes.  The dual optimum read off the
+final block is a minimum fractional vertex cover; primal value == dual
+value is the optimality certificate and is asserted on every solve.
 """
 
 from __future__ import annotations
@@ -26,15 +32,24 @@ ZERO = Fraction(0)
 
 
 class LpSizeError(ValueError):
-    """Instance exceeds the exact-LP size guard."""
+    """Instance exceeds the exact-LP size guard; args[0] says by how much."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}; pass limit=None to override"
 
 
-#: with int64 entries below this bound, a pivot's products cannot overflow
-_INT64_SAFE = 1 << 30
+#: products below _INT64_SAFE**2 = 2**62 differ by less than 2**63, so the
+#: difference of two fits in int64
+_INT64_SAFE = 1 << 31
 
 #: with a common denominator below this bound, three weights in [0, 1]
 #: scaled by it sum without int64 overflow
 _WEIGHT_SUM_SAFE = (1 << 61) // 3
+
+#: reduced costs are computed this many columns at a time, up to the first
+#: block holding an improving column: at n = 32 the Bland column entering
+#: the basis has median index about 360 of 2 500
+_PRICE_BLOCK = 512
 
 
 def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarray, int]:
@@ -53,56 +68,106 @@ def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarra
     return W, D
 
 
-def _simplex_core(T: np.ndarray, nv: int, m: int) -> tuple[np.ndarray, list[int], int]:
-    """Bland's-rule primal simplex on an integer tableau, pivoting in place.
+def _simplex_core(
+    rows: np.ndarray, coef: np.ndarray, c: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, list[int], int]:
+    """Bland's-rule revised primal simplex in integers: maximize c.x s.t. A x <= b, x >= 0.
 
-    `T` holds m constraint rows [A | I | b] with b >= 0 and the objective row
-    [-c | 0 | 0] last; the slack columns nv..nv+m-1 are the initial basis.
-    Returns (T, basis, den): the final tableau, the basic column of each row,
-    and the common denominator, so T[i, j] / den is the rational entry.
+    Column j of the k x nv matrix A is given sparsely: A[rows[j, t], j] =
+    coef[j, t] for t < w, with `rows` and `coef` of shape (nv, w) (pad with
+    coefficient 0); c has length nv and b >= 0 length k, all int64.
+    Columns are numbered structural 0..nv-1, then slacks nv..nv+k-1, which
+    are the initial basis.  Returns (R, basis, den): the final block, the
+    basic column of each row, and the common denominator, so R[i, j] / den
+    is the rational entry.
 
-    Fraction-free pivoting (Bareiss): every entry is the true rational times
-    the previous pivot element, and each pivot's cross-multiplication step
-    divides exactly.  Entries stay int64 while no product can overflow and
-    become arbitrary-precision integers once an entry reaches _INT64_SAFE;
-    after that promotion the returned T is a new object array.
+    What is stored.  Take the objective as row k, with -c_j in column j,
+    and let B^ be the (k+1) x (k+1) basis of [A ; -c] together with the
+    objective's unit column.  R is den * [B^-1 | B^-1 b] with b extended by
+    a 0, that is
+
+        den * [ B^-1   0 | B^-1 b ]
+              [ y^T    1 |   z    ]
+
+    for the duals y and the value z, so R[k, k] == den.  The tableau column
+    of structural j is R @ [A_j ; -c_j]: its last entry is j's reduced cost.
+    Reduced costs are gathered from row k of R through `rows` and `coef`,
+    _PRICE_BLOCK columns at a time up to the first block with an improving
+    column, and the entering column from w + 1 columns of R, so a pivot
+    costs O(w nv + k^2), against O(k (nv + k)) for updating a full tableau.
+
+    Why the pivots are the full tableau's.  Fraction-free (Bareiss)
+    pivoting keeps every tableau entry equal to den times the rational
+    entry, den being the last pivot.  R holds the full tableau's slack and
+    right-hand-side columns (and its objective column), updated by the same
+    formula, and a priced column is den times the rational column, so each
+    number compared is the integer the full tableau holds.  Bland's rule
+    scans the same columns in the same order (structural, then slack) and
+    the ratio test breaks ties by the lowest basic column, so the pivots,
+    the basis, den, the primal and the dual are the full tableau's.
+
+    Overflow.  Entries stay int64 while no step can overflow and become
+    Python ints otherwise; after that promotion R is an object array.  Let
+    M = max |R| (den = R[k, k] is included, so M >= 1) and S = (w + 1) *
+    max |[coef | c]|, at least 1.  A reduced cost or entering-column entry
+    is never stored: it is a sum of at most w + 1 products of an R entry
+    and a coefficient, so it and each of its partial sums are at most M S
+    in size; a slack's column is a column of R, at most M.  The update
+    R * piv - pcol prow^T multiplies a stored entry by a priced one, so
+    each product is at most M^2 S, and the difference fits in int64 when
+    M^2 S < _INT64_SAFE^2 = 2^62.  The test runs before each pivot's
+    pricing.
     """
-    rhs = nv + m
-    basis = list(range(nv, nv + m))
-    den = 1  # current common denominator of the tableau (always positive)
-    buf = np.empty_like(T)
+    (nv, w), k = rows.shape, len(b)
+    # (w + 1, nv) copies with the objective row k last: a pricing gather reads them row by row
+    rows, coef = np.vstack([rows.T, np.full(nv, k)]), np.vstack([coef.T, np.negative(c)])
+    scale = max(1, (w + 1) * max(int(coef.max()), -int(coef.min())))
+    blocks = [
+        (lo, rows[:, lo : lo + _PRICE_BLOCK], coef[:, lo : lo + _PRICE_BLOCK]) for lo in range(0, nv, _PRICE_BLOCK)
+    ]
+    R = np.eye(k + 1, k + 2, dtype=np.int64)
+    R[:k, k + 1] = b
+    basis = list(range(nv, nv + k))
+    den = 1  # current common denominator of the block (always positive)
     while True:
-        neg = np.flatnonzero(T[m, :rhs] < 0)
-        if len(neg) == 0:
-            break
-        enter = int(neg[0])  # Bland's rule: first improving column
-        col = T[:m, enter]
+        if R.dtype != object and int(np.abs(R).max()) ** 2 * scale >= _INT64_SAFE**2:
+            R = R.astype(object)  # an object array times an int64 one multiplies Python ints
+        y = R[k]
+        for lo, block_rows, block_coef in blocks:  # Bland's rule: the first improving column
+            priced = y.take(block_rows)
+            priced *= block_coef
+            priced = priced.sum(axis=0)
+            enter = int((priced < 0).argmax())
+            if priced[enter] < 0:
+                enter += lo
+                pcol = R[:, rows[:, enter]] @ coef[:, enter]
+                break
+        else:  # no structural column improves: try the slacks
+            slack = int((y[:k] < 0).argmax())
+            if y[slack] >= 0:
+                break
+            enter = nv + slack
+            pcol = R[:, slack]
         leave = None
         num_l = den_l = 0  # best ratio as num_l/den_l with den_l > 0
-        for i in np.flatnonzero(col > 0):
-            a = int(T[i, enter])
-            r = int(T[i, rhs])
+        for i, (a, r) in enumerate(zip(pcol[:k].tolist(), R[:k, k + 1].tolist())):
+            if a <= 0:
+                continue
             cmp = r * den_l - num_l * a  # sign of ratio_i - best_ratio
             if leave is None or cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                 num_l, den_l = r, a
-                leave = int(i)
+                leave = i
         if leave is None:
             raise ArithmeticError("LP is unbounded")  # cannot happen for matching LPs
-        if T.dtype != object and max(int(T.max()), -int(T.min())) >= _INT64_SAFE:
-            T = T.astype(object)
-            buf = np.empty_like(T)
-        piv = T[leave, enter]
-        prow = T[leave].copy()
-        pcol = T[:, enter].copy()
-        # T <- (T * piv - pcol prow^T) / den, the division exact
-        np.multiply(T, piv, out=T)
-        np.multiply.outer(pcol, prow, out=buf)
-        np.subtract(T, buf, out=T)
-        np.floor_divide(T, den, out=T)
-        T[leave] = prow
+        piv = pcol[leave]
+        prow = R[leave]
+        # R <- (R * piv - pcol prow^T) / den, the division exact; prow and
+        # pcol are views of the old R, read before R is rebound
+        R = (R * piv - np.multiply.outer(pcol, prow)) // den
+        R[leave] = prow
         den = int(piv)
         basis[leave] = enter
-    return T, basis, den
+    return R, basis, den
 
 
 @dataclass(frozen=True)
@@ -170,32 +235,25 @@ def fractional_matching(
     pass None to override.
     """
     if limit is not None and comb(H.n, 3) > limit:
-        raise LpSizeError(
-            f"C({H.n},3) = {comb(H.n, 3)} exceeds the exact-LP guard {limit}; "
-            "pass limit=None to override"
-        )
+        raise LpSizeError(f"C({H.n},3) = {comb(H.n, 3)} exceeds the exact-LP guard {limit}")
     if H.m == 0:
         primal = FractionalAssignment("matching", {}, ZERO)
         dual = FractionalAssignment("cover", {}, ZERO)
         return DualityCertificate(primal, dual)
-    # The tableau [A | I | 1] over the vertices that meet an edge, with the
-    # objective row [-1 | 0 | 0]: every scale is 1, so it goes to the core as is.
+    # A over the vertices that meet an edge: column j has a 1 in each of
+    # edge j's three vertex rows; c and b are all ones
     E = H.edge_array
     touched = np.unique(E).tolist()
     k, m = len(touched), H.m
     row_of = np.zeros(H.n + 1, dtype=np.intp)
     row_of[touched] = np.arange(k)
-    T = np.zeros((k + 1, m + k + 1), dtype=np.int64)
-    T[row_of[E], np.arange(m)[:, None]] = 1
-    T[np.arange(k), m + np.arange(k)] = 1
-    T[:k, -1] = 1
-    T[k, :m] = -1
-    T, basis, den = _simplex_core(T, m, k)
-    rhs = m + k
-    support = sorted((bv, int(T[i, rhs])) for i, bv in enumerate(basis) if bv < m and T[i, rhs])
+    R, basis, den = _simplex_core(
+        row_of[E], np.ones((m, 3), dtype=np.int64), np.ones(m, dtype=np.int64), np.ones(k, dtype=np.int64)
+    )
+    support = sorted((bv, int(R[i, k + 1])) for i, bv in enumerate(basis) if bv < m and R[i, k + 1])
     primal_w = {tuple(E[j].tolist()): Fraction(x, den) for j, x in support}
-    dual_w = {v: Fraction(int(T[k, m + i]), den) for i, v in enumerate(touched) if T[k, m + i]}
-    primal = FractionalAssignment("matching", primal_w, Fraction(int(T[k, rhs]), den))
+    dual_w = {v: Fraction(int(R[k, i]), den) for i, v in enumerate(touched) if R[k, i]}
+    primal = FractionalAssignment("matching", primal_w, Fraction(int(R[k, k + 1]), den))
     dual = FractionalAssignment("cover", dual_w, sum(dual_w.values(), ZERO))
     primal.validate(H)
     dual.validate(H)

@@ -141,6 +141,22 @@ class TestMatchCommands:
         assert code == 0
         assert json.loads(out)["results"]["nu_frac"] == 1
 
+    @pytest.mark.parametrize("command", ["fracmatch", "shift"])
+    def test_guard_error_names_the_cli_override(self, capsys, tmp_path, command):
+        path = gen_file(capsys, tmp_path, "r24.h3", "--family", "random", "--n", "24", "--p", "0.3", "--seed", "1")
+        code, _, err = run(capsys, command, path, "--no-timing")
+        assert code == 1
+        assert "exceeds the exact-LP guard 2000; pass --limit 0 to override" in err
+        assert "limit=None" not in err
+
+    @pytest.mark.parametrize("command", ["fracmatch", "shift", "check"])
+    def test_negative_limit_is_a_usage_error(self, capsys, fano_file, command):
+        extra = ["--s", "1", "--mode", "thm13"] if command == "check" else []
+        with pytest.raises(SystemExit) as err:
+            main([command, fano_file, *extra, "--limit", "-3"])
+        assert err.value.code == 1
+        assert "argument --limit: expected a non-negative integer" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_complete6_conj_pm(self, capsys, tmp_path):

@@ -22,21 +22,18 @@ from conftest import ZERO, ONE, brute_nu_3graph, rand_3graph, ref_nu_frac, ref_s
 
 def core_max(c, rows, b):
     """Maximize c.x s.t. rows.x <= b, x >= 0 (integer data, b >= 0) with the
-    library's integer-tableau simplex: (value, x, duals) as Fractions, and
-    whether the tableau was promoted to Python ints."""
+    library's revised integer simplex: (value, x, duals) as Fractions, and
+    whether the core was promoted to Python ints."""
     m, nv = len(rows), len(c)
-    T = np.array(
-        [r + [int(i == j) for j in range(m)] + [bi] for i, (r, bi) in enumerate(zip(rows, b))]
-        + [[-x for x in c] + [0] * (m + 1)],
-        dtype=np.int64,
-    )
-    T, basis, den = _simplex_core(T, nv, m)
+    index = np.tile(np.arange(m), (nv, 1))  # every column lists all m rows
+    coef = np.array(rows, dtype=np.int64).T
+    R, basis, den = _simplex_core(index, coef, np.array(c, dtype=np.int64), np.array(b, dtype=np.int64))
     x = [ZERO] * nv
     for i, bv in enumerate(basis):
         if bv < nv:
-            x[bv] = Fraction(int(T[i, nv + m]), den)
-    duals = [Fraction(int(T[m, nv + i]), den) for i in range(m)]
-    return Fraction(int(T[m, nv + m]), den), x, duals, T.dtype == object
+            x[bv] = Fraction(int(R[i, m + 1]), den)
+    duals = [Fraction(int(R[m, i]), den) for i in range(m)]
+    return Fraction(int(R[m, m + 1]), den), x, duals, R.dtype == object
 
 
 def ref_max(c, rows, b):
@@ -51,12 +48,12 @@ class TestSimplex:
         assert value == 3 and x == [ONE, Fraction(2)] and duals == [ONE, ONE]
 
     def test_unbounded_detected(self):
-        # max x  s.t.  -x <= 1: the 1 x 1 tableau [-1 | 1 | 1] over the objective row [-1 | 0 | 0]
+        # max x  s.t.  -x <= 1: one column with coefficient -1 in row 0
         with pytest.raises(ArithmeticError):
-            _simplex_core(np.array([[-1, 1, 1], [-1, 0, 0]]), 1, 1)
+            _simplex_core(np.array([[0]]), np.array([[-1]]), np.array([1]), np.array([1]))
 
     def test_matches_rational_reference_on_random_lps(self):
-        # the library solver pivots on an integer tableau; the reference
+        # the library solver pivots in integers; the reference
         # keeps a Fraction tableau. Same pivot rules, so outputs must be
         # identical rationals, not merely equal optima.
         rng = random.Random(31)
@@ -85,6 +82,19 @@ class TestSimplex:
             promoted += bigints
             assert tuple(solution) == ref_max(c, rows, b)
         assert promoted >= 5
+
+    def test_pricing_sum_overflow_promotes(self):
+        # every datum and every stored entry stays below _INT64_SAFE, but
+        # once the k unit columns (objective big) are basic, the last
+        # column's reduced cost k * big^2 - 1 exceeds 2^63: only the pricing
+        # sum would overflow int64, and the core must promote before it
+        k, big = 16, (1 << 30) - 1
+        rows = [[int(i == j) for j in range(k)] + [big] for i in range(k)]
+        c, b = [big] * k + [1], [0] * k
+        assert max(map(max, rows + [b, c])) < _INT64_SAFE and k * big * big > 1 << 63
+        *solution, bigints = core_max(c, rows, b)
+        assert bigints
+        assert tuple(solution) == ref_max(c, rows, b)
 
     def test_big_integer_coefficients_stay_exact(self):
         big = 1 << 62
@@ -179,18 +189,29 @@ class TestFractionalMatching:
         for _ in range(30):
             H = rand_3graph(rng.randint(4, 10), rng.random(), rng)
             assert fractional_matching(H).value == ref_nu_frac(H)
-        # the same Bland rule reaches the same vertex: equal primal and duals
         for _ in range(15):
             H = rand_3graph(rng.randint(4, 12), rng.random(), rng)
-            if H.m == 0:
-                continue
-            touched = sorted({v for e in H.edges for v in e})
-            rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
-            value, x, duals = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
-            cert = fractional_matching(H)
-            assert cert.value == value
-            assert dict(cert.primal.weights) == {e: x[j] for j, e in enumerate(H.edges) if x[j]}
-            assert dict(cert.dual.weights) == {v: duals[i] for i, v in enumerate(touched) if duals[i]}
+            if H.m:
+                assert_reference_vertex(H)
+
+    def test_agrees_with_reference_simplex_on_long_pivot_paths(self):
+        # 81, 140 and 97 Bland pivots on 172, 220 and 274 edges
+        rng = random.Random(34)
+        for n in (14, 15, 16):
+            H = rand_3graph(n, 0.5, rng)
+            assert H.m >= 150
+            assert_reference_vertex(H)
+
+
+def assert_reference_vertex(H):
+    """The same Bland rule reaches the same vertex: equal value, primal and duals."""
+    touched = sorted({v for e in H.edges for v in e})
+    rows = [[ONE if v in e else ZERO for e in H.edges] for v in touched]
+    value, x, duals = ref_simplex_max([ONE] * H.m, rows, [ONE] * len(touched))
+    cert = fractional_matching(H)
+    assert cert.value == value
+    assert dict(cert.primal.weights) == {e: x[j] for j, e in enumerate(H.edges) if x[j]}
+    assert dict(cert.dual.weights) == {v: duals[i] for i, v in enumerate(touched) if duals[i]}
 
 
 class TestPerfectFractionalMatching:
