@@ -1,22 +1,32 @@
 """Spectral radius computation and the closed-form spectral bounds.
 
-Radii come from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``), and
-each one is bracketed in exact arithmetic by the Collatz-Wielandt bounds for
-nonnegative matrices (Horn & Johnson, *Matrix Analysis*, ch. 8): for an
-integer vector x >= 0, x != 0, rho(A) >= min (Ax)_i / x_i over the support
-of x, and for x > 0, rho(A) <= max (Ax)_i / x_i.  The lower vector is the
-rounded Perron vector, the upper one the rounded resolvent
-(t I - A)^-1 1 at t = rho + tolerance/2, which is positive whenever
-rho(A) < t, so neither needs a component split; both come from the one
-eigendecomposition.  Ax is formed in int64 and every bound is proven, and
-compared with a threshold, in exact arithmetic: no rounded float enters a
-certified decision.
+Every radius is bracketed in exact arithmetic by the Collatz-Wielandt
+bounds for nonnegative matrices (Horn & Johnson, *Matrix Analysis*, ch. 8):
+for an integer vector x >= 0, x != 0, rho(A) >= min (Ax)_i / x_i over the
+support of x, and for x > 0, rho(A) <= max (Ax)_i / x_i.  Two routes find
+such vectors, and both prove them in integers: Ax is formed in int64 and
+every bound is proven, and compared with a threshold, in exact arithmetic,
+so no rounded float enters a certified decision.
+
+- Power route: a few batched steps x <- (A + I) x from the degree vector,
+  until the float ratios (Ax)_i / x_i agree to tolerance/4.  The rounded x
+  proves both bounds and its Rayleigh quotient is the radius.  One step
+  costs a matrix-vector product, so this is the route for large dense links.
+- Eigensolve route: LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
+  The lower vector is the rounded Perron vector, the upper one the rounded
+  resolvent (t I - A)^-1 1 at t = rho + tolerance/2, which is positive
+  whenever rho(A) < t, so neither needs a component split; both come from
+  the one eigendecomposition.
 
 :func:`link_spectra` runs this for every vertex link of a 3-graph at once:
-the edge array is scattered into dense 0/1 link matrices a chunk of
-vertices at a time, with one batched eigensolve per chunk.  A link keeps
-only the vertices that lie on its edges, which leaves its radius unchanged
-and keeps sparse links small.
+one sort of the edge array's incidences by vertex feeds dense 0/1 link
+matrices a chunk of vertices at a time.  A link keeps only the vertices
+that lie on its edges, which leaves its radius unchanged and keeps sparse
+links small.  Links of at least POWER_MIN_VERTICES vertices and at least
+as many edges as vertices - 1 (the fewest a connected link has) take the
+power route; the ones it cannot close within tolerance, and all other
+links, take one batched eigensolve per chunk.  :func:`spectral_radius` of a single
+graph always takes the eigensolve route.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_COMPARISON_SLACK = 1e-9
 #: bytes of dense float64 link matrices held at once by link_spectra
 LINK_CHUNK_BYTES = 1 << 20
+#: links with at least this many vertices try power steps before an eigensolve
+POWER_MIN_VERTICES = 24
+#: most power steps a link may need before it falls through to the eigensolver
+POWER_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,81 @@ def _certified_radii(A: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.nd
     return rho, lower, np.where(positive, upper, np.inf)
 
 
+def _power_radii(A: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii of a stack of symmetric 0/1 matrices by power steps, with exact bounds.
+
+    Each matrix takes steps x <- (A + I) x from its degree vector until the
+    float Collatz-Wielandt ratios (Ax)_i / x_i over its non-isolated
+    vertices spread by at most tolerance/4.  It gives up (lower 0, upper
+    inf) as soon as its spread, shrinking at the rate of its last step,
+    would not get there within POWER_MAX_STEPS steps.  A stopped x is
+    rounded to integers and proves the lower bound, and the upper bound
+    where it is positive on every non-isolated vertex; the radius is its
+    Rayleigh quotient.  Every matrix stops on its own, so its result does
+    not depend on the others in the stack.
+    """
+    k, n, _ = A.shape
+    bits = min(52, 63 - n.bit_length())  # entries <= 2^bits keep Ax below 2^63
+    target = tolerance / 4
+    degree = A.sum(axis=2)
+    live = degree > 0  # isolated vertices are components of radius 0 and are left out
+    x = degree / degree.max(axis=1)[:, None]
+    rho, lower, upper = np.zeros(k), np.zeros(k), np.full(k, np.inf)
+    stopped = np.zeros(k, dtype=bool)
+    active, As, xs, spread = np.arange(k), A, x, np.full(k, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(POWER_MAX_STEPS + 1):
+            y = np.matmul(As, xs[:, :, None])[:, :, 0]
+            r = y / xs  # NaN (0/0) on isolated vertices, which fmax and fmin skip
+            last, spread = spread, np.fmax.reduce(r, axis=1) - np.fmin.reduce(r, axis=1)
+            done = spread <= target
+            if done.any():
+                i = active[done]
+                x[i], stopped[i] = xs[done], True
+                rho[i] = (xs[done] * y[done]).sum(axis=1) / (xs[done] * xs[done]).sum(axis=1)
+            keep = ~done & (spread * (spread / last) ** (POWER_MAX_STEPS - step) <= target)
+            if not keep.all():
+                active, As, xs, y, spread = active[keep], As[keep], xs[keep], y[keep], spread[keep]
+                if not active.size:
+                    break
+            xs = y + xs
+            xs /= xs.max(axis=1)[:, None]
+    if stopped.any():
+        X = np.rint(x[stopped] * float(1 << bits)).astype(np.int64)
+        AX = np.matmul(A[stopped].astype(np.int64), X[:, :, None])[:, :, 0]
+        lower[stopped] = _ratio_bounds(AX, X, lowest=True)
+        positive = ((X > 0) | ~live[stopped]).all(axis=1)
+        upper[stopped] = np.where(positive, _ratio_bounds(AX, X, lowest=False), np.inf)
+    return rho, lower, upper
+
+
+def _link_radii(
+    A: np.ndarray, sizes: np.ndarray, edges: np.ndarray, tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified radii of a chunk of link matrices, by the route each link's size picks.
+
+    Links of at least POWER_MIN_VERTICES vertices try :func:`_power_radii`,
+    unless they have fewer edges than vertices - 1: such a link is not
+    connected, and the spread of a link whose components differ in radius
+    never shrinks.  Links the power route does not bring within tolerance
+    of their radius, and all the others, go through
+    :func:`_certified_radii` in one call.
+    """
+    if A.shape[1] < POWER_MIN_VERTICES:  # the chunk's largest link
+        return _certified_radii(A, tolerance)
+    rest = (sizes < POWER_MIN_VERTICES) | (edges < sizes - 1)
+    if rest.all():
+        return _certified_radii(A, tolerance)
+    power = ~rest
+    rho, lower, upper = np.zeros(len(A)), np.zeros(len(A)), np.full(len(A), np.inf)
+    r, lo, hi = _power_radii(A if power.all() else A[power], tolerance)
+    rho[power], lower[power], upper[power] = r, lo, hi
+    rest[power] = [not _within(*b, tolerance) for b in zip(r.tolist(), lo.tolist(), hi.tolist())]
+    if rest.any():
+        rho[rest], lower[rest], upper[rest] = _certified_radii(A if rest.all() else A[rest], tolerance)
+    return rho, lower, upper
+
+
 def _within(rho: float, lower: float, upper: float, tolerance: float) -> bool:
     """Whether [lower, upper] lies within tolerance of rho, exactly.
 
@@ -221,36 +310,54 @@ def link_spectra(
     tolerance: float = DEFAULT_TOLERANCE,
     vertices: Sequence[int] | None = None,
 ) -> LinkSpectra:
-    """Certified spectral radii of the links of `vertices` (default: all of H)."""
+    """Certified spectral radii of the links of `vertices` (default: all of H).
+
+    The links are built a chunk at a time from one sort of the edge array's
+    incidences by vertex.  :func:`_link_radii` sends a link of at least
+    POWER_MIN_VERTICES vertices to power steps first; the links they cannot
+    close, and every other link, take one batched eigensolve per chunk.
+    Either way the bracket is proven from an integer Collatz-Wielandt
+    vector.  Repeated vertices are rejected.
+    """
     _check_tolerance(tolerance)
     n = H.n
     vs = tuple(range(1, n + 1)) if vertices is None else tuple(vertices)
+    seen: set[int] = set()
     for v in vs:
         H._check_vertex(v)
-    E = H.edge_array - 1
-    slot = np.full(n, -1, dtype=np.intp)  # position of a vertex's link in the current chunk
+        if v in seen:
+            raise ValueError(f"vertex {v} repeated in vertices")
+        seen.add(v)
+    flat = (H.edge_array - 1).ravel()  # incidence j is vertex flat[j] of edge j // 3
+    order = np.argsort(flat)  # incidences grouped by vertex; the order within a group is immaterial
+    degree = np.bincount(flat, minlength=n)
+    first = np.cumsum(degree) - degree  # where each vertex's group starts in `order`
     per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
     rho: list[float] = []
     lower: list[float] = []
     upper: list[float] = []
     for start in range(0, len(vs), per_chunk):
         chunk = np.array(vs[start : start + per_chunk], dtype=np.intp) - 1
-        slot[:] = -1
-        slot[chunk] = np.arange(len(chunk))
-        pairs = []
-        for c, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):  # v = e[c], the pair is e[p], e[q]
-            e = E[slot[E[:, c]] >= 0]
-            pairs.append((slot[e[:, c]], e[:, p], e[:, q]))
-        k, a, b = (np.concatenate(x) for x in zip(*pairs))
+        count = degree[chunk]
+        k = np.repeat(np.arange(len(chunk)), count)
+        at = np.arange(len(k)) + np.repeat(first[chunk] - (np.cumsum(count) - count), count)
+        j = order[at]
+        row = j - j % 3
+        # the other two vertices of the edge: positions (1, 2), (0, 2) or (0, 1)
+        a = flat[row + (j == row)]
+        b = flat[row + 2 - (j == row + 2)]
         # isolated vertices add only zero eigenvalues, so each link keeps just
         # its other vertices, in order (padded to the chunk's largest link)
         present = np.zeros((len(chunk), n), dtype=bool)
         present[k, a] = present[k, b] = True
-        rank = np.cumsum(present, axis=1) - 1
-        size = max(1, int(present.sum(axis=1).max()))
-        A = np.zeros((len(chunk), size, size))
-        A[k, rank[k, a], rank[k, b]] = A[k, rank[k, b], rank[k, a]] = 1.0
-        r, lo, hi = _certified_radii(A, tolerance)
+        sizes = present.sum(axis=1)
+        size = max(1, int(sizes.max()))
+        rank = (np.cumsum(present, axis=1) - 1).ravel()
+        ra, rb = rank[k * n + a], rank[k * n + b]
+        A = np.zeros(len(chunk) * size * size)
+        A[(k * size + ra) * size + rb] = A[(k * size + rb) * size + ra] = 1.0
+        A = A.reshape(len(chunk), size, size)
+        r, lo, hi = _link_radii(A, sizes, count, tolerance)  # a link has one edge per edge at its vertex
         rho += r.tolist()
         lower += lo.tolist()
         upper += hi.tolist()

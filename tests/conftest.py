@@ -69,7 +69,9 @@ def uncertifiable_links(monkeypatch: pytest.MonkeyPatch, vertices: set[int], n: 
     The vector is a unit vector, whose one Collatz-Wielandt ratio is a
     diagonal entry, 0, so the lower bound is 0: the link can back neither a
     verdict nor a tolerance.  Assumes all n links of an instance go through
-    one eigensolve, in vertex order.
+    one eigensolve, in vertex order, so it reaches only links below
+    ``spectral.POWER_MIN_VERTICES`` vertices: larger links take power steps
+    first, and only those the steps cannot close reach the eigensolver.
     """
     real = spectral._eigh
 

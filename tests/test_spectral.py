@@ -6,11 +6,13 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from linkspec import spectral
 from linkspec.constructions import complete_3graph, h1, random_3graph, split_graph
 from linkspec.graphs import Graph2, Hypergraph3, complement, link_graph
+from linkspec.harness import instance_seed
 from linkspec.matching import max_matching_graph
 from linkspec.spectral import (
     DEFAULT_COMPARISON_SLACK,
@@ -29,6 +31,15 @@ from linkspec.spectral import (
 from conftest import eig_rho, power_rho, rand_3graph, rand_graph
 
 TOL = 1e-9
+
+
+def no_eigensolve(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make any eigensolve fail, so only the power route can certify a link."""
+
+    def eigh(A):
+        raise AssertionError(f"eigensolve of a {A.shape} stack")
+
+    monkeypatch.setattr(spectral, "_eigh", eigh)
 
 
 def complete_graph(n: int) -> Graph2:
@@ -184,6 +195,28 @@ class TestLinkSpectra:
         assert some.vertices == (9, 2)
         assert some.rho == (whole.rho[8], whole.rho[1])
 
+    def test_chunks_and_vertex_subsets_above_the_cutoff(self, monkeypatch):
+        n = 40
+        H = random_3graph(n, 0.6, 5).hypergraph
+        E = H.edge_array
+        # every link spans the other n - 1 vertices, so no chunk pads a link
+        assert all(np.unique(E[(E == v).any(axis=1)]).size == n for v in range(1, n + 1))
+        assert n - 1 >= spectral.POWER_MIN_VERTICES
+        no_eigensolve(monkeypatch)
+        whole = link_spectra(H)
+        assert all(whole.converged)
+        monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 3 * 8 * n * n)  # three links per chunk
+        assert link_spectra(H) == whole
+        some = link_spectra(H, vertices=[9, 2])
+        assert some.vertices == (9, 2)
+        assert some.rho == (whole.rho[8], whole.rho[1])
+        assert some.lower == (whole.lower[8], whole.lower[1])
+
+    def test_repeated_vertices_are_rejected(self):
+        H = random_3graph(9, 0.8, 1).hypergraph
+        with pytest.raises(ValueError, match="vertex 2 repeated"):
+            link_spectra(H, vertices=[2, 2])
+
     def test_validation(self):
         H = complete_3graph(5).hypergraph
         with pytest.raises(ValueError, match="vertex 0 out of range 1..5"):
@@ -206,6 +239,47 @@ class TestLinkSpectra:
         H = h1(2, 9).hypergraph  # minimum link radius equals the threshold, an irrational
         cond, bad = link_spectra(H).condition(exact_threshold_match(2, 9), 0.0)
         assert cond == "indeterminate"
+
+
+class TestPowerRoute:
+    def test_complete_links(self, monkeypatch):
+        no_eigensolve(monkeypatch)
+        spectra = link_spectra(complete_3graph(30).hypergraph)  # every link is K_29: rho = 28
+        assert spectra.rho == (28.0,) * 30 and all(spectra.converged)
+        assert all(lo <= 28 <= hi for lo, hi in zip(spectra.lower, spectra.upper))
+        assert spectra.condition(Threshold(55, 0, 2), 1e-9) == ("holds", ())
+        assert spectra.condition(Threshold(57, 0, 2), 1e-9) == ("fails", ())
+
+    def test_criterion_5_instance(self, monkeypatch):
+        H = random_3graph(100, 0.7, instance_seed(20260925, 0)).hypergraph  # criterion 5's stream
+        no_eigensolve(monkeypatch)
+        spectra = link_spectra(H)
+        assert all(spectra.converged)
+        slack = 1e-12  # the oracle's own rounding
+        for v, rho, lo, hi in zip(spectra.vertices, spectra.rho, spectra.lower, spectra.upper):
+            exact = eig_rho(link_graph(H, v)[0])
+            assert lo <= exact + slack and exact <= hi + slack
+            assert rho == pytest.approx(exact, abs=1e-12)
+        assert spectra.condition(exact_threshold_match(1, 100), 1e-9) == ("holds", ())
+
+    def test_disconnected_link_falls_through_to_the_eigensolver(self, monkeypatch):
+        # the link of vertex 1 is K_24 + K_25: its power spread stays 24 - 23
+        cliques = (range(2, 26), range(26, 51))
+        H = Hypergraph3(50, [(1, u, w) for c in cliques for u, w in combinations(c, 2)])
+        assert 49 >= spectral.POWER_MIN_VERTICES
+        shapes = []
+        real = spectral._eigh
+
+        def eigh(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(spectral, "_eigh", eigh)
+        spectra = link_spectra(H, vertices=[1])
+        assert shapes == [(1, 49, 49)]
+        assert spectra.converged == (True,)
+        assert spectra.rho[0] == pytest.approx(24, abs=1e-12)
+        assert spectra.lower[0] <= 24 <= spectra.upper[0]
 
 
 class TestThreshold:
