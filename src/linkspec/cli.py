@@ -24,6 +24,7 @@ from .fileio import ParseError, edge_lists, load_instance, save_instance, serial
 from .graphs import Graph2, Hypergraph3
 from .harness import (
     MODES,
+    LiftFailure,
     check_thm11,
     lift_link_matching,
     search_exhaustive,
@@ -254,7 +255,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     if args.lift_s is not None:
         try:
             results["lifted_matching"] = lift_link_matching(pair, args.lift_s)
-        except Exception as exc:  # lift failure is a reportable outcome
+        except LiftFailure as exc:  # a link too small to lift is a reportable outcome
             results["lift_failure"] = str(exc)
     params = {"file": args.file, "limit": args.limit, "lift_s": args.lift_s}
     _emit(args, params, results, started)

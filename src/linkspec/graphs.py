@@ -139,17 +139,36 @@ class Hypergraph3:
         return len(self.edge_array)
 
     def has_edges(self, rows: np.ndarray | Iterable[Triple]) -> np.ndarray:
-        """Whether each row of the (k, 3) integer array `rows`, an increasing triple, is an edge.
+        """Whether each row of the (k, 3) integer array `rows` is an edge.
 
-        One binary search in the edge array, whose rows, viewed as records,
-        compare lexicographically.
+        One binary search in the edge array.  While n <= `KEY_MAX_N`, a row
+        (a, b, c) is looked up by its int64 key a(n+1)^2 + b(n+1) + c,
+        which orders the edges lexicographically.  The key is injective
+        only on entries in 0..n, so a row with an entry outside 1..n is
+        answered False whatever its key finds (unguarded, (1, 2, 14) would
+        find the edge (1, 3, 4) at n = 9).  Above `KEY_MAX_N` the keys
+        could overflow, and the rows are compared as records instead.
         """
-        keys = np.ascontiguousarray(rows, dtype=np.intp).reshape(-1, 3).view(_ROW).ravel()
-        edges = self.edge_array.view(_ROW).ravel()
+        rows = np.ascontiguousarray(rows, dtype=np.intp).reshape(-1, 3)
+        n = self.n
+        if n <= KEY_MAX_N:
+            labels = ((rows >= 1) & (rows <= n)).all(axis=1)
+            keys = _row_keys(rows, n)
+            edges = self._edge_keys
+        else:
+            labels = True
+            keys = rows.view(_ROW).ravel()
+            edges = self.edge_array.view(_ROW).ravel()
         if not len(edges):
             return np.zeros(len(keys), dtype=bool)
         i = np.searchsorted(edges, keys)
-        return (i < len(edges)) & (edges[np.minimum(i, len(edges) - 1)] == keys)
+        # i is the first edge not below the key, or len(edges) if none: clamped, it still fails ==
+        return labels & (edges[np.minimum(i, len(edges) - 1)] == keys)
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        """The edges' int64 keys for `has_edges`, built on the first lookup: 8 bytes an edge."""
+        return _row_keys(self.edge_array, self.n)
 
     def has_edge(self, e: Iterable[int]) -> bool:
         t = sorted(e)
@@ -160,8 +179,16 @@ class Hypergraph3:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
 
+#: the largest n whose edge keys a(n+1)^2 + b(n+1) + c, at most (n+1)^3 - 1, fit in int64
+KEY_MAX_N = 2**21 - 1
 #: an edge array row as one record, so that rows compare lexicographically
 _ROW = np.dtype([("a", np.intp), ("b", np.intp), ("c", np.intp)])
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """The key a(n+1)^2 + b(n+1) + c of each row (a, b, c) of the (k, 3) intp array `rows`."""
+    base = n + 1
+    return (rows[:, 0] * base + rows[:, 1]) * base + rows[:, 2]
 
 
 def _edge_array(n: int, edges: np.ndarray | Iterable[Triple]) -> np.ndarray:

@@ -33,7 +33,7 @@ from .constructions import (
     lex_triples,
     random_3graph,
 )
-from .graphs import Graph2, Hypergraph3, link_graph
+from .graphs import Graph2, Hypergraph3
 from .lp import (
     DEFAULT_TRIPLE_LIMIT,
     DualityCertificate,
@@ -42,12 +42,7 @@ from .lp import (
     _integer_weights,
     fractional_matching,
 )
-from .matching import (
-    DEFAULT_BUDGET,
-    Matching3,
-    find_matching_of_size,
-    max_matching_graph,
-)
+from .matching import DEFAULT_BUDGET, Matching3, find_matching_of_size
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
@@ -308,28 +303,35 @@ def shift_closure_holds(shifted: Hypergraph3) -> bool:
 def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
     """Lift a link matching of the last shifted vertex to a 3-graph matching.
 
-    Finds a matching of size s+1 in the link of vertex n of the shifted
-    hypergraph, pairs each link edge with a distinct unused vertex, and
-    returns the resulting matching of the shifted hypergraph.  Validity of
-    each lifted edge follows from shift-closure and is asserted.
+    Requires `P.shifted` to be shift-closed (every increasing triple
+    coordinatewise below an edge is an edge), which `shift` guarantees.
+    Then the link of vertex n is a shifted graph, and a shifted graph has a
+    matching of size k if and only if it holds the k canonical pairs
+    {i, 2k+1-i}, i = 1..k (Frankl 1987).  So the lift looks up these pairs
+    for every k <= s+1: they decide whether the link has a matching of
+    size s+1, and otherwise give its matching number for the
+    `LiftFailure`.  The canonical pairs for k = s+1 are joined, in order,
+    to the smallest unused vertices: {i, 2s+3-i, 2s+2+i} lies below the
+    edge {i, 2s+3-i, n}, since 2s+2+i <= 3s+3 <= n.  The lifted triples
+    are looked up in the same call and asserted to be edges.
     """
     n = P.shifted.n
+    if s < 0:
+        raise ValueError(f"s must be nonnegative, got {s}")
     if n < 3 * s + 3:
         raise ValueError(f"need n >= 3s+3, got n={n}, s={s}")
-    link, _ = link_graph(P.shifted, n)  # removing the top label keeps labels 1..n-1
-    nu_link, pairs = max_matching_graph(link)
-    if nu_link < s + 1:
-        raise LiftFailure(nu_link)
-    chosen = sorted(pairs)[: s + 1]
-    used = {v for e in chosen for v in e}
-    free = [v for v in range(1, n + 1) if v not in used]
-    if len(free) < s + 1:  # impossible when n >= 3s+3
-        raise AssertionError("not enough unused vertices for the lift")
-    lifted = [tuple(sorted((a, b, u))) for (a, b), u in zip(chosen, free[: s + 1])]
-    present = P.shifted.has_edges(lifted)
-    if not present.all():
-        raise AssertionError(f"lifted triple {lifted[present.argmin()]} missing; shift-closure violated")
-    return Matching3(tuple(sorted(lifted)))
+    # the canonical pairs of every size k <= s+1 with n, then the lifted triples: one lookup
+    canonical = [(i, 2 * k + 1 - i, n) for k in range(1, s + 2) for i in range(1, k + 1)]
+    lifted = [(i, 2 * s + 3 - i, 2 * s + 2 + i) for i in range(1, s + 2)]
+    present = P.shifted.has_edges(canonical + lifted).tolist()
+    # size k's canonical triples are rows k(k-1)/2 .. k(k+1)/2 - 1
+    link_nu = max(k for k in range(s + 2) if all(present[k * (k - 1) // 2 : k * (k + 1) // 2]))
+    if link_nu < s + 1:
+        raise LiftFailure(link_nu)
+    for e, ok in zip(lifted, present[len(canonical) :]):
+        if not ok:
+            raise AssertionError(f"lifted triple {e} missing; shift-closure violated")
+    return Matching3(tuple(lifted))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact matching numbers for 2-graphs and 3-graphs.
 
 2-graph maximum matching is delegated to networkx's blossom implementation
-(exact on general graphs); networkx is imported on first use, so only the
-link-matching lift pays for it.  3-graph maximum matching is a deterministic
+(exact on general graphs); networkx is imported on first use, so only
+callers of `max_matching_graph` pay for it: no command does, and the
+link-matching lift reads the matching number of a shifted link from its
+canonical pairs instead.  3-graph maximum matching is a deterministic
 branch-and-bound over edge inclusion, seeded with a first-fit matching and
 pruned by the floor(remaining/3) bound, a greedy hitting-set bound, and an
 optional exact-LP root bound; `find_matching_of_size` stops it at the first

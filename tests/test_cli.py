@@ -277,6 +277,27 @@ class TestShiftAbsorb:
         rep = json.loads(out)
         assert code == 0 and len(rep["results"]["lifted_matching"]["edges"]) == 2
 
+    def test_shift_lift_gives_canonical_pairs(self, capsys, tmp_path):
+        path = gen_file(capsys, tmp_path, "k9.h3", "--family", "complete", "--n", "9")
+        code, out, _ = run(capsys, "shift", path, "--lift-s", "2", "--no-timing")
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["results"]["lifted_matching"]["edges"] == [[1, 6, 7], [2, 5, 8], [3, 4, 9]]
+
+    def test_shift_lift_failure_is_reported(self, capsys, tmp_path):
+        # the last link of h2(3, 12) has matching number 2
+        path = gen_file(capsys, tmp_path, "h2.h3", "--family", "h2", "--s", "3", "--n", "12")
+        code, out, _ = run(capsys, "shift", path, "--lift-s", "2", "--no-timing")
+        rep = json.loads(out)
+        assert code == 0 and "lifted_matching" not in rep["results"]
+        assert rep["results"]["lift_failure"] == "link matching number is only 2"
+
+    @pytest.mark.parametrize("lift_s,message", [(5, "need n >= 3s+3"), (-1, "s must be nonnegative")])
+    def test_shift_invalid_lift_s_is_a_usage_error(self, capsys, tmp_path, lift_s, message):
+        path = gen_file(capsys, tmp_path, "k9.h3", "--family", "complete", "--n", "9")
+        code, out, err = run(capsys, "shift", path, "--lift-s", str(lift_s), "--no-timing")
+        assert code == 1 and out == "" and message in err
+
     def test_absorb_complete9(self, capsys, tmp_path):
         path = gen_file(capsys, tmp_path, "k9.h3", "--family", "complete", "--n", "9")
         code, out, _ = run(capsys, "absorb", path, "--t", "1,2,3", "--no-timing")

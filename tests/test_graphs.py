@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2, split_graph
-from linkspec.graphs import Graph2, Hypergraph3, complement, induced, link_graph
+from linkspec.graphs import KEY_MAX_N, Graph2, Hypergraph3, complement, induced, link_graph
 
 from conftest import rand_3graph, rand_graph
 
@@ -126,18 +126,34 @@ class TestEdgeArray:
 
     def test_has_edges_is_set_membership(self):
         rng = random.Random(8)
-        for n in range(0, 9):
-            H = rand_3graph(n, 0.5, rng)
+        # at n = 9 an unguarded key would find the edge (1, 3, 4) for the row (1, 2, 14)
+        for H in [rand_3graph(n, 0.5, rng) for n in range(0, 9)] + [Hypergraph3(9, [(1, 3, 4)])]:
             edges = set(H.edges)
-            triples = list(combinations(range(0, n + 2), 3))  # out-of-range labels included
+            triples = list(combinations(range(0, H.n + 2), 3))  # out-of-range labels included
             assert H.has_edges(np.array(triples).reshape(-1, 3)).tolist() == [t in edges for t in triples]
             assert [H.has_edge(t[::-1]) for t in triples] == [t in edges for t in triples]
             assert not H.has_edge((1, 2))
+            rows = _lookup_rows(H)
+            assert H.has_edges(np.array(rows)).tolist() == [r in edges for r in rows]
+
+    @pytest.mark.parametrize("n", [KEY_MAX_N, KEY_MAX_N + 1, 2**40])
+    def test_has_edges_at_large_sparse_n(self, n):
+        # either side of the int64 key cutoff, and far above it on the record view;
+        # the largest key, (n+1)^3 - 1, fits in int64 exactly up to the cutoff
+        assert (KEY_MAX_N + 1) ** 3 - 1 < 2**63 <= (KEY_MAX_N + 2) ** 3 - 1
+        H = Hypergraph3(n, [(1, 2, 3), (1, 2, n), (5, n - 1, n), (n - 2, n - 1, n)])
+        rows = _lookup_rows(H) + [(1, 3, n), (5, n - 2, n), (2**40 + 7, 1, 2), (n - 2, n - 1, n - 1)]
+        edges = set(H.edges)
+        assert H.has_edges(np.array(rows)).tolist() == [r in edges for r in rows]
 
     def test_pickle_round_trip(self):
         H = complete_3graph(6).hypergraph
         G = pickle.loads(pickle.dumps(H))
         assert G == H and not G.edge_array.flags.writeable
+        # the lookup keys are a cache: built on the first lookup, never pickled
+        assert "_edge_keys" not in vars(H) and H.has_edge((1, 2, 3)) and "_edge_keys" in vars(H)
+        G = pickle.loads(pickle.dumps(H))
+        assert G == H and hash(G) == hash(H) and "_edge_keys" not in vars(G)
 
     def test_any_iterable_of_triples(self):
         assert Hypergraph3(4, iter([(1, 2, 3)])) == Hypergraph3(4, ((1, 2, 3),))
@@ -269,3 +285,15 @@ class TestConstructions:
             induced(complete_3graph(5).hypergraph, {9})
         with pytest.raises(ValueError):
             induced(complete_3graph(5).hypergraph, {0})
+
+
+def _lookup_rows(H: Hypergraph3) -> list[tuple[int, int, int]]:
+    """Edges, non-edges, non-increasing rows, (0, 0, 0), negative and above-n labels."""
+    n = H.n
+    rows = list(H.edges) + [e[::-1] for e in H.edges] + [(b, a, c) for a, b, c in H.edges]
+    rows += [(a, b, c + 1) for a, b, c in H.edges] + [(a, a, c) for a, _, c in H.edges]
+    rows += [(0, 0, 0), (0, 1, 2), (-1, 2, 3), (1, 2, -3), (-n, -1, 0)]
+    rows += [(1, 2, n + 1), (1, n, n + 1), (n + 1, n + 2, n + 3), (1, 2, n + 5), (1, 2, 2 * n + 1)]
+    # with base n + 1, (1, 1, n + 4) has the key of (1, 2, 3), and at n = 9 (1, 2, 14) that of (1, 3, 4)
+    rows += [(1, 2, 14), (1, 3, 4), (1, 1, n + 4), (1, 1, n + 2), (n, n, n)]
+    return rows

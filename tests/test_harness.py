@@ -20,6 +20,7 @@ from linkspec.graphs import Graph2, Hypergraph3, induced, link_graph
 from linkspec.harness import (
     STREAM_LENGTH,
     LiftFailure,
+    ShiftedPair,
     absorbing_sets,
     check_condition,
     check_thm11,
@@ -32,8 +33,8 @@ from linkspec.harness import (
     shift_closure_holds,
     verify_theorem,
 )
-from linkspec.lp import fractional_matching
-from linkspec.matching import max_matching_3graph
+from linkspec.lp import FractionalAssignment, fractional_matching
+from linkspec.matching import max_matching_3graph, max_matching_graph
 from linkspec.spectral import link_spectra, spectral_radius
 
 from conftest import brute_nu_3graph, rand_3graph, ref_shift_closure_holds, uncertifiable_links
@@ -282,6 +283,81 @@ class TestLift:
             M = lift_link_matching(shift(H), 2)
             assert len(M) == 3
             seen += 1
+
+    def test_negative_s(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lift_link_matching(shift(complete_3graph(9).hypergraph), -1)
+
+    def test_lifted_pairs_are_canonical(self):
+        P = shift(complete_3graph(12).hypergraph)
+        for s in range(4):
+            M = lift_link_matching(P, s)
+            k = s + 1
+            assert M.edges == tuple((i, 2 * k + 1 - i, 2 * k + i) for i in range(1, k + 1))
+
+    def test_canonical_nu_is_blossom_nu_on_every_down_closed_graph(self):
+        # the graph G sits as the link of vertex n = 15 in the shift-closed
+        # 3-graph of all triples {a, b, c} with ab in G and b < c <= n
+        n = 15
+        graphs = [(m, G) for m in range(2, 9) for G in _down_closed_graphs(m)]
+        assert len(graphs) == 254
+        for m, G in graphs:
+            nu, _ = max_matching_graph(Graph2(m, tuple(sorted(G))))
+            H = Hypergraph3(n, tuple(sorted((a, b, c) for a, b in G for c in range(b + 1, n + 1))))
+            assert shift_closure_holds(H) and link_graph(H, n)[0].edges == tuple(sorted(G))
+            # the lift reads only `shifted`; the cover fields are placeholders
+            P = ShiftedPair(H, FractionalAssignment("cover", {}, Fraction(0)), tuple(range(1, n + 1)), H, Fraction(0))
+            with pytest.raises(LiftFailure) as err:
+                lift_link_matching(P, nu)
+            assert err.value.link_nu == nu
+            if nu:
+                M = lift_link_matching(P, nu - 1)
+                assert M.edges == tuple((i, 2 * nu + 1 - i, 2 * nu + i) for i in range(1, nu + 1))
+
+    def test_failure_link_nu_is_blossom_nu_on_random_shifted_instances(self):
+        rng = random.Random(61)
+        failures = lifts = 0
+        for _ in range(80):
+            n = rng.randint(6, 12)
+            P = shift(rand_3graph(n, rng.choice((0.1, 0.3, 0.6)), rng))
+            nu, _ = max_matching_graph(link_graph(P.shifted, n)[0])
+            for s in range((n - 3) // 3 + 1):
+                if nu >= s + 1:
+                    M = lift_link_matching(P, s)
+                    M.validate_in(P.shifted)
+                    assert len(M) == s + 1
+                    lifts += 1
+                    continue
+                with pytest.raises(LiftFailure) as err:
+                    lift_link_matching(P, s)
+                assert err.value.link_nu == nu
+                failures += 1
+        assert failures > 10 and lifts > 10
+
+
+def _down_closed_graphs(m: int) -> list[frozenset[tuple[int, int]]]:
+    """Every edge set on 1..m closed under lowering either end of an edge.
+
+    Grown from the empty set by adding one pair whose elementary
+    predecessors (a-1, b) and (a, b-1), where they are pairs, are present.
+    """
+    pairs = list(combinations(range(1, m + 1), 2))
+    found = {frozenset()}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for S in frontier:
+            for a, b in pairs:
+                if (a, b) in S or (a > 1 and (a - 1, b) not in S) or (b > a + 1 and (a, b - 1) not in S):
+                    continue
+                T = S | {(a, b)}
+                if T not in found:
+                    found.add(T)
+                    grown.append(T)
+        frontier = grown
+    for S in found:  # down-closed by definition, checked pair by pair
+        assert all((c, d) in S for a, b in S for c, d in pairs if c <= a and d <= b)
+    return sorted(found, key=sorted)
 
 
 class TestAbsorbingSets:

@@ -36,7 +36,8 @@ def test_import_loads_only_declared_dependencies():
 
 
 def test_import_and_check_leave_networkx_unloaded(tmp_path):
-    # networkx serves only the link-matching lift, so it is imported on first use
+    # networkx serves only max_matching_graph, the blossom matching of a
+    # 2-graph, so it is imported on first use; check, shift and the lift never load it
     path = tmp_path / "h.h3"
     code = (
         "import sys; import linkspec; assert 'networkx' not in sys.modules, 'import'; "
@@ -44,6 +45,9 @@ def test_import_and_check_leave_networkx_unloaded(tmp_path):
         f"fileio.save_instance(constructions.random_3graph(12, 0.8, 1).hypergraph, {str(path)!r}); "
         f"code = cli.main(['check', {str(path)!r}, '--s', '3', '--mode', 'thm13', '--gamma', '0.05', "
         f"'--no-timing', '-o', {str(tmp_path / 'report.json')!r}]); "
+        "assert code == 0; assert 'networkx' not in sys.modules, 'check'; "
+        f"code = cli.main(['shift', {str(path)!r}, '--limit', '0', '--lift-s', '1', "
+        f"'--no-timing', '-o', {str(tmp_path / 'shift.json')!r}]); "
         "assert code == 0; print('networkx' in sys.modules)"
     )
     path_env = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
