@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,46 @@ def fano_file(tmp_path):
     lines = ["p h3 7 7"] + [f"e {a} {b} {c}" for a, b, c in sorted(FANO_LINES)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+#: `--no-timing` reports kept byte for byte: name -> (instance file, its `gen`
+#: arguments, the command); each command runs in a directory holding only
+#: the instance, so the file name in the report is the relative one
+GOLDEN_REPORTS = {
+    "fracmatch_random12.json": (
+        "r12.h3", ("--family", "random", "--n", "12", "--p", "0.5", "--seed", "3"), ("fracmatch", "r12.h3"),
+    ),
+    "fracmatch_h2_3_12.json": ("h2.h3", ("--family", "h2", "--s", "3", "--n", "12"), ("fracmatch", "h2.h3")),
+    "shift_random12_lift1.json": (
+        "r12.h3",
+        ("--family", "random", "--n", "12", "--p", "0.5", "--seed", "3"),
+        ("shift", "r12.h3", "--limit", "0", "--lift-s", "1"),
+    ),
+    # the budget-1 search stops short of a 3-matching, so the witness is the LP certificate
+    "check_thm13_duality.json": (
+        "r9.h3",
+        ("--family", "random", "--n", "9", "--p", "0.9", "--seed", "3"),
+        ("check", "r9.h3", "--s", "2", "--mode", "thm13", "--budget", "1"),
+    ),
+    "search_random.json": (
+        None,
+        (),
+        ("search", "--space", "random", "--n", "9", "--s", "2", "--mode", "thm13",
+         "--p", "0.7", "--samples", "40", "--seed", "5", "--threads", "1"),
+    ),
+}
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+def golden_report(capsys, directory, name):
+    """Run the command of GOLDEN_REPORTS[name] in `directory`; its stdout."""
+    instance, family, command = GOLDEN_REPORTS[name]
+    if instance is not None:
+        assert main(["gen", *family, "-o", str(directory / instance)]) == 0
+    code, out, _ = run(capsys, *command, "--no-timing")
+    assert code == 0
+    return out
 
 
 def gen_file(capsys, tmp_path, name, *argv):
@@ -358,6 +399,11 @@ class TestContracts:
         code, out, _ = run(capsys, "fracmatch", fano_file, "--no-timing", "-o", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["results"]["nu_frac"] == "7/3"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_golden_report(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert golden_report(capsys, tmp_path, name).encode() == (GOLDEN_DIR / name).read_bytes()
 
     def test_rationals_never_serialized_as_floats(self, capsys, tmp_path):
         path = gen_file(capsys, tmp_path, "h.h3", "--family", "h2", "--s", "2", "--n", "7")
