@@ -34,7 +34,7 @@ from .harness import (
     verify_theorem,
     absorbing_sets,
 )
-from .lp import DEFAULT_TRIPLE_LIMIT, LpSizeError, fractional_matching
+from .lp import DEFAULT_TRIPLE_LIMIT, FractionalAssignment, LpSizeError, fractional_matching
 from .matching import DEFAULT_BUDGET, max_matching_3graph
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
@@ -78,6 +78,8 @@ def _jsonable(obj: Any) -> Any:
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (Hypergraph3, Graph2)):
         return {"n": obj.n, "edges": edge_lists(obj)}
+    if isinstance(obj, FractionalAssignment):
+        return {"kind": obj.kind, "weights": _jsonable(obj.weights), "value": _jsonable(obj.value)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):

@@ -64,10 +64,6 @@ class Graph2:
             adj[b - 1] |= 1 << (a - 1)
         return tuple(adj)
 
-    def degree_of(self, v: int) -> int:
-        self._check_vertex(v)
-        return bin(self.adjacency[v - 1]).count("1")
-
     def has_edge(self, a: int, b: int) -> bool:
         if a > b:
             a, b = b, a
@@ -76,10 +72,6 @@ class Graph2:
     @cached_property
     def _edge_set(self) -> frozenset[Pair]:
         return frozenset(self.edges)
-
-    def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
 
 class Hypergraph3:
@@ -149,7 +141,7 @@ class Hypergraph3:
         find the edge (1, 3, 4) at n = 9).  Above `KEY_MAX_N` the keys
         could overflow, and the rows are compared as records instead.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.intp).reshape(-1, 3)
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 3)
         n = self.n
         if n <= KEY_MAX_N:
             labels = ((rows >= 1) & (rows <= n)).all(axis=1)
@@ -157,7 +149,7 @@ class Hypergraph3:
             edges = self._edge_keys
         else:
             labels = True
-            keys = rows.view(_ROW).ravel()
+            keys = np.ascontiguousarray(rows).view(_ROW).ravel()
             edges = self.edge_array.view(_ROW).ravel()
         if not len(edges):
             return np.zeros(len(keys), dtype=bool)

@@ -39,7 +39,6 @@ from .lp import (
     DualityCertificate,
     FractionalAssignment,
     LpSizeError,
-    _integer_weights,
     fractional_matching,
 )
 from .matching import DEFAULT_BUDGET, Matching3, find_matching_of_size
@@ -251,18 +250,16 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
     """Build the weight-closure of H under a minimum fractional vertex cover.
 
     Verifies exactly that the shifted hypergraph contains the relabelled
-    original and has the same fractional matching number.
+    original; it then has the same fractional matching number (see below).
     """
     cert = fractional_matching(H, lp_limit)
-    w = {v: cert.dual.weights.get(v, Fraction(0)) for v in range(1, H.n + 1)}
+    W = cert.dual.vertex_numerators(H.n)
+    w = W.tolist()
     order = tuple(sorted(range(1, H.n + 1), key=lambda v: (-w[v], v)))
-    new_w = {i + 1: w[order[i]] for i in range(H.n)}
-    # cover weight sum >= 1, exactly: W = w * D in integers, sums compared with D
-    W, D = _integer_weights(new_w, H.n)
+    # cover weight sum >= 1, exactly: new label i carries numerator W[order[i-1]] over den
     triples = lex_triple_array(H.n)
-    shifted = Hypergraph3(H.n, triples[W[triples].sum(axis=1) >= D])
-    new_label = np.zeros(H.n + 1, dtype=np.intp)
-    new_label[list(order)] = np.arange(1, H.n + 1)
+    shifted = Hypergraph3(H.n, triples[W[[0, *order]][triples].sum(axis=1) >= cert.dual.den])
+    new_label = np.argsort([0, *order])  # the inverse permutation: old label -> new
     kept = shifted.has_edges(np.sort(new_label[H.edge_array], axis=1))
     if not kept.all():
         e = tuple(H.edge_array[kept.argmin()].tolist())
@@ -270,15 +267,11 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
     # nu* preservation is certified by exact weak duality rather than a
     # second LP solve: the relabelled optimal matching of H is feasible in
     # the shifted hypergraph (edge inclusion, verified above), and the
-    # relabelled cover is feasible for it with the same value (every
-    # shifted edge has cover weight >= 1, verified below), so
+    # relabelled cover is feasible for it with the same value, because the
+    # shifted edges are by definition the triples whose relabelled cover
+    # numerators sum to at least den: an edge-cover check of `shifted`
+    # would recompute the same integer sums, so it could not fail.  Hence
     # nu*(H) <= nu*(shifted) <= tau* witness = nu*(H).
-    relabelled_cover = FractionalAssignment(
-        "cover",
-        {v: new_w[v] for v in range(1, H.n + 1) if new_w[v] != 0},
-        cert.value,
-    )
-    relabelled_cover.validate(shifted)
     return ShiftedPair(H, cert.dual, order, shifted, cert.value)
 
 
@@ -292,12 +285,13 @@ def shift_closure_holds(shifted: Hypergraph3) -> bool:
     it suffices to look up the at most three elementary predecessors of each
     edge, O(m) binary searches in all.
     """
-    E = shifted.edge_array
-    a, b, c = E.T
-    predecessors = np.concatenate(
-        [(E - (1, 0, 0))[a > 1], (E - (0, 1, 0))[b > a + 1], (E - (0, 0, 1))[c > b + 1]]
-    )
-    return bool(shifted.has_edges(predecessors).all())
+    E = shifted.edge_array.T  # (3, m), so that each step runs along the edges
+    floor = np.zeros_like(E)  # lowering coordinate t must keep it above floor[t]
+    floor[1:] = E[:-1]
+    # lowered[:, t, i] is edge i with coordinate t lowered by 1
+    lowered = E[:, None, :] - np.eye(3, dtype=E.dtype)[:, :, None]
+    predecessors = lowered.reshape(3, -1).compress((E - 1 > floor).ravel(), axis=1)
+    return bool(shifted.has_edges(predecessors.T).all())
 
 
 def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:

@@ -11,15 +11,16 @@ against O(k (nv + k)) for rewriting a full tableau.  Its pivots are the
 ones the full fraction-free tableau takes.  The dual optimum read off the
 final block is a minimum fractional vertex cover; primal value == dual
 value is the optimality certificate and is asserted on every solve.
+Both certificates are integer numerators over the solver's one common
+denominator, from the final block to the checks and the cover shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import comb, lcm
-from typing import Mapping
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .graphs import Hypergraph3, Triple
 
 #: refuse the exact LP above this many potential triples unless overridden
 DEFAULT_TRIPLE_LIMIT = 2000
-
-ZERO = Fraction(0)
 
 
 class LpSizeError(ValueError):
@@ -42,30 +41,16 @@ class LpSizeError(ValueError):
 #: difference of two fits in int64
 _INT64_SAFE = 1 << 31
 
-#: with a common denominator below this bound, three weights in [0, 1]
-#: scaled by it sum without int64 overflow
-_WEIGHT_SUM_SAFE = (1 << 61) // 3
-
 #: reduced costs are computed this many columns at a time, up to the first
 #: block holding an improving column: at n = 32 the Bland column entering
 #: the basis has median index about 360 of 2 500
 _PRICE_BLOCK = 512
 
 
-def _integer_weights(weights: Mapping[int, Fraction], n: int) -> tuple[np.ndarray, int]:
-    """Vertex weights in [0, 1] as integers over their common denominator D.
-
-    Returns (W, D) with W[v] = weights[v] * D for each vertex v in 1..n that
-    has a weight, and 0 elsewhere (W[0] is unused).  W is int64 when D is
-    below _WEIGHT_SUM_SAFE and an object array of Python ints otherwise, so
-    sums of three entries are exact either way.
-    """
-    D = reduce(lcm, (w.denominator for w in weights.values()), 1)
-    W = np.zeros(n + 1, dtype=np.int64 if D < _WEIGHT_SUM_SAFE else object)
-    for v, w in weights.items():
-        if 1 <= v <= n:
-            W[v] = w.numerator * (D // w.denominator)
-    return W, D
+def _int_dtype(bound: int) -> type:
+    """The one overflow rule: int64 for exact integer work whose products and
+    partial sums stay below `bound` < _INT64_SAFE**2, else Python ints."""
+    return np.int64 if bound < _INT64_SAFE**2 else object
 
 
 def _simplex_core(
@@ -115,8 +100,8 @@ def _simplex_core(
     in size; a slack's column is a column of R, at most M.  The update
     R * piv - pcol prow^T multiplies a stored entry by a priced one, so
     each product is at most M^2 S, and the difference fits in int64 when
-    M^2 S < _INT64_SAFE^2 = 2^62.  The test runs before each pivot's
-    pricing.
+    M^2 S < _INT64_SAFE^2 = 2^62, the bound _int_dtype tests.  The test
+    runs before each pivot's pricing.
     """
     (nv, w), k = rows.shape, len(b)
     # (w + 1, nv) copies with the objective row k last: a pricing gather reads them row by row
@@ -130,7 +115,7 @@ def _simplex_core(
     basis = list(range(nv, nv + k))
     den = 1  # current common denominator of the block (always positive)
     while True:
-        if R.dtype != object and int(np.abs(R).max()) ** 2 * scale >= _INT64_SAFE**2:
+        if R.dtype != object and _int_dtype(int(np.abs(R).max()) ** 2 * scale) is object:
             R = R.astype(object)  # an object array times an int64 one multiplies Python ints
         y = R[k]
         for lo, block_rows, block_coef in blocks:  # Bland's rule: the first improving column
@@ -172,37 +157,57 @@ def _simplex_core(
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Exact rational weights on edges (matching) or vertices (cover)."""
+    """Exact weights num[i] / den on the edge rows (matching) or the vertex
+    labels (cover) in `support`, over one positive denominator den."""
 
     kind: str  # "matching" | "cover"
-    weights: Mapping[Triple, Fraction] | Mapping[int, Fraction]
-    value: Fraction
+    support: tuple[Triple, ...] | tuple[int, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
         if self.kind not in ("matching", "cover"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if sum(self.weights.values(), ZERO) != self.value:
-            raise ValueError("value does not equal the sum of the weights")
-        if any(not (0 <= w <= 1) for w in self.weights.values()):
+        if len(self.support) != len(self.num):
+            raise ValueError("support and numerators differ in length")
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        if any(not (0 <= x <= self.den) for x in self.num):
             raise ValueError("weights must lie in [0, 1]")
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(sum(self.num), self.den)
+
+    @cached_property
+    def weights(self) -> dict[Triple, Fraction] | dict[int, Fraction]:
+        """The nonzero weights as Fractions, in support order."""
+        return {key: Fraction(x, self.den) for key, x in zip(self.support, self.num) if x}
+
+    def vertex_numerators(self, n: int) -> np.ndarray:
+        """A cover's numerators by vertex 0..n, in a dtype where three of them sum exactly."""
+        W = np.zeros(n + 1, dtype=_int_dtype(3 * self.den))
+        for v, x in zip(self.support, self.num):
+            if 1 <= v <= n:
+                W[v] = x
+        return W
 
     def validate(self, H: Hypergraph3) -> None:
         """Check exact feasibility with respect to H; raises on violation."""
         if self.kind == "matching":
-            rows = [sorted(e) if len(e) == 3 else (0, 0, 0) for e in self.weights]  # (0, 0, 0) is no edge
+            rows = [sorted(e) if len(e) == 3 else (0, 0, 0) for e in self.support]  # (0, 0, 0) is no edge
             present = H.has_edges(rows)
             if not present.all():
-                raise ValueError(f"{list(self.weights)[present.argmin()]} is not an edge of the hypergraph")
-            load: dict[int, Fraction] = {}
-            for e, w in self.weights.items():
+                raise ValueError(f"{self.support[present.argmin()]} is not an edge of the hypergraph")
+            load: dict[int, int] = {}
+            for e, x in zip(self.support, self.num):
                 for v in e:
-                    load[v] = load.get(v, ZERO) + w
-            bad = [v for v, s in load.items() if s > 1]
+                    load[v] = load.get(v, 0) + x
+            bad = [v for v, total in load.items() if total > self.den]
             if bad:
                 raise ValueError(f"vertex constraint violated at {bad[0]}")
         elif H.m:
-            W, D = _integer_weights(self.weights, H.n)
-            short = np.flatnonzero(W[H.edge_array].sum(axis=1) < D)
+            short = np.flatnonzero(self.vertex_numerators(H.n)[H.edge_array].sum(axis=1) < self.den)
             if len(short):
                 raise ValueError(f"edge {tuple(H.edge_array[short[0]].tolist())} is not covered")
 
@@ -237,8 +242,7 @@ def fractional_matching(
     if limit is not None and comb(H.n, 3) > limit:
         raise LpSizeError(f"C({H.n},3) = {comb(H.n, 3)} exceeds the exact-LP guard {limit}")
     if H.m == 0:
-        primal = FractionalAssignment("matching", {}, ZERO)
-        dual = FractionalAssignment("cover", {}, ZERO)
+        primal, dual = FractionalAssignment("matching", (), (), 1), FractionalAssignment("cover", (), (), 1)
         return DualityCertificate(primal, dual)
     # A over the vertices that meet an edge: column j has a 1 in each of
     # edge j's three vertex rows; c and b are all ones
@@ -250,11 +254,13 @@ def fractional_matching(
     R, basis, den = _simplex_core(
         row_of[E], np.ones((m, 3), dtype=np.int64), np.ones(m, dtype=np.int64), np.ones(k, dtype=np.int64)
     )
-    support = sorted((bv, int(R[i, k + 1])) for i, bv in enumerate(basis) if bv < m and R[i, k + 1])
-    primal_w = {tuple(E[j].tolist()): Fraction(x, den) for j, x in support}
-    dual_w = {v: Fraction(int(R[k, i]), den) for i, v in enumerate(touched) if R[k, i]}
-    primal = FractionalAssignment("matching", primal_w, Fraction(int(R[k, k + 1]), den))
-    dual = FractionalAssignment("cover", dual_w, sum(dual_w.values(), ZERO))
+    # the nonzero basic edges in edge order, and the nonzero duals
+    x = sorted((j, xj) for j, xj in zip(basis, R[:k, k + 1].tolist()) if j < m and xj)
+    y = [(v, yv) for v, yv in zip(touched, R[k, :k].tolist()) if yv]
+    primal = FractionalAssignment(
+        "matching", tuple(tuple(E[j].tolist()) for j, _ in x), tuple(xj for _, xj in x), den
+    )
+    dual = FractionalAssignment("cover", tuple(v for v, _ in y), tuple(yv for _, yv in y), den)
     primal.validate(H)
     dual.validate(H)
     return DualityCertificate(primal, dual)

@@ -45,10 +45,6 @@ class Matching3:
     def __len__(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
     def validate_in(self, H: Hypergraph3) -> None:
         for e in self.edges:
             if not H.has_edge(e):

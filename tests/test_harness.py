@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from linkspec.constructions import (
@@ -15,7 +16,7 @@ from linkspec.constructions import (
     random_3graph,
     split_graph,
 )
-from linkspec import harness
+from linkspec import harness, lp
 from linkspec.graphs import Graph2, Hypergraph3, induced, link_graph
 from linkspec.harness import (
     STREAM_LENGTH,
@@ -244,11 +245,43 @@ class TestShift:
             assert P.shifted.m >= H.m
             assert sorted(P.order) == list(range(1, H.n + 1))
 
+    def test_python_int_route_agrees_with_int64(self, monkeypatch):
+        # the first instances of the acceptance sweep's six streams, solved
+        # and shifted once in int64 and once with _INT64_SAFE = 1, where the
+        # overflow rule sends every simplex block and every cover array to
+        # Python ints from the start
+        instances = [
+            random_3graph(n, p, instance_seed(20260825 + i, k)).hypergraph
+            for i, (n, p) in enumerate((n, p) for n in (9, 9, 12) for p in (0.5, 0.8))
+            for k in range(15)
+        ]
+        dtypes = []
+        real_core = lp._simplex_core
+
+        def recorded_core(*args):
+            R, basis, den = real_core(*args)
+            dtypes.append(R.dtype)
+            return R, basis, den
+
+        def outcome(H):
+            cert, P = fractional_matching(H), shift(H)
+            dtypes.append(P.cover.vertex_numerators(H.n).dtype)
+            weights = [list(a.weights.items()) for a in (cert.primal, cert.dual, P.cover)]
+            return weights, cert.value, P.nu_frac, P.order, P.shifted
+
+        monkeypatch.setattr(lp, "_simplex_core", recorded_core)
+        int64 = [outcome(H) for H in instances]
+        assert set(dtypes) == {np.dtype(np.int64)} and len(dtypes) == 3 * len(instances)
+        dtypes.clear()
+        monkeypatch.setattr(lp, "_INT64_SAFE", 1)
+        assert [outcome(H) for H in instances] == int64
+        assert set(dtypes) == {np.dtype(object)} and len(dtypes) == 3 * len(instances)
+
 
 class TestLift:
     def test_complete6(self):
         M = lift_link_matching(shift(complete_3graph(6).hypergraph), 1)
-        assert len(M) == 2 and M.vertices == frozenset(range(1, 7))
+        assert len(M) == 2 and {v for e in M.edges for v in e} == set(range(1, 7))
 
     def test_h2_lift(self):
         # the shifted h2(3,12) is itself; the last vertex's link is K_5 plus
@@ -306,7 +339,7 @@ class TestLift:
             H = Hypergraph3(n, tuple(sorted((a, b, c) for a, b in G for c in range(b + 1, n + 1))))
             assert shift_closure_holds(H) and link_graph(H, n)[0].edges == tuple(sorted(G))
             # the lift reads only `shifted`; the cover fields are placeholders
-            P = ShiftedPair(H, FractionalAssignment("cover", {}, Fraction(0)), tuple(range(1, n + 1)), H, Fraction(0))
+            P = ShiftedPair(H, FractionalAssignment("cover", (), (), 1), tuple(range(1, n + 1)), H, Fraction(0))
             with pytest.raises(LiftFailure) as err:
                 lift_link_matching(P, nu)
             assert err.value.link_nu == nu

@@ -104,48 +104,62 @@ class TestSimplex:
 
 class TestAssignments:
     def test_kind_and_value_validation(self):
-        with pytest.raises(ValueError):
-            FractionalAssignment("nonsense", {}, ZERO)
-        with pytest.raises(ValueError):
-            FractionalAssignment("matching", {(1, 2, 3): ONE}, Fraction(2))
-        with pytest.raises(ValueError):
-            FractionalAssignment("matching", {(1, 2, 3): Fraction(3, 2)}, Fraction(3, 2))
+        with pytest.raises(ValueError, match="unknown kind"):
+            FractionalAssignment("nonsense", (), (), 1)
+        with pytest.raises(ValueError, match="differ in length"):
+            FractionalAssignment("matching", ((1, 2, 3),), (1, 1), 1)
+        with pytest.raises(ValueError, match="positive"):
+            FractionalAssignment("matching", ((1, 2, 3),), (0,), 0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FractionalAssignment("matching", ((1, 2, 3),), (3,), 2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FractionalAssignment("cover", (1,), (-1,), 2)
+        # value and weights are derived from the numerators; the view drops
+        # zero numerators and keeps the support order
+        a = FractionalAssignment("cover", (3, 1, 2), (2, 0, 4), 4)
+        assert a.value == Fraction(3, 2)
+        assert list(a.weights.items()) == [(3, Fraction(1, 2)), (2, ONE)]
+        assert FractionalAssignment("matching", (), (), 7).value == 0
 
     def test_matching_feasibility(self):
         H = Hypergraph3(6, ((1, 2, 3), (1, 4, 5)))
-        good = FractionalAssignment(
-            "matching", {(1, 2, 3): Fraction(1, 2), (1, 4, 5): Fraction(1, 2)}, ONE
-        )
-        good.validate(H)
-        overloaded = FractionalAssignment(
-            "matching", {(1, 2, 3): ONE, (1, 4, 5): ONE}, Fraction(2)
-        )
-        with pytest.raises(ValueError):
+        FractionalAssignment("matching", ((1, 2, 3), (1, 4, 5)), (1, 1), 2).validate(H)
+        overloaded = FractionalAssignment("matching", ((1, 2, 3), (1, 4, 5)), (1, 1), 1)
+        with pytest.raises(ValueError, match="vertex constraint violated at 1"):
             overloaded.validate(H)
-        foreign = FractionalAssignment("matching", {(4, 5, 6): ONE}, ONE)
-        with pytest.raises(ValueError):
+        foreign = FractionalAssignment("matching", ((4, 5, 6),), (1,), 1)
+        with pytest.raises(ValueError, match="not an edge"):
             foreign.validate(H)
+        # vertex loads over a denominator beyond int64 stay exact
+        D = 3 << 62
+        FractionalAssignment("matching", ((1, 2, 3), (1, 4, 5)), (D // 2, D - D // 2), D).validate(H)
+        with pytest.raises(ValueError, match="vertex constraint violated at 1"):
+            FractionalAssignment("matching", ((1, 2, 3), (1, 4, 5)), (D // 2 + 1, D - D // 2), D).validate(H)
 
     def test_cover_feasibility(self):
         H = Hypergraph3(6, ((1, 2, 3), (4, 5, 6)))
-        FractionalAssignment("cover", {1: ONE, 4: ONE}, Fraction(2)).validate(H)
+        FractionalAssignment("cover", (1, 4), (1, 1), 1).validate(H)
         with pytest.raises(ValueError):
-            FractionalAssignment("cover", {1: ONE}, ONE).validate(H)
+            FractionalAssignment("cover", (1,), (1,), 1).validate(H)
         # a common denominator too large for int64 sums: exact in Python ints
-        tiny = Fraction(1, 3 << 62)
-        exact = {1: ONE - tiny, 2: tiny, 4: ONE}
-        FractionalAssignment("cover", exact, Fraction(2)).validate(H)
-        short = {1: ONE - 2 * tiny, 2: tiny, 4: ONE}
+        D = 3 << 62
+        exact = FractionalAssignment("cover", (1, 2, 4), (D - 1, 1, D), D)
+        assert exact.vertex_numerators(H.n).dtype == object
+        exact.validate(H)
+        short = FractionalAssignment("cover", (1, 2, 4), (D - 2, 1, D), D)
         with pytest.raises(ValueError, match="not covered"):
-            FractionalAssignment("cover", short, Fraction(2) - tiny).validate(H)
+            short.validate(H)
+        assert FractionalAssignment("cover", (1, 4), (1, 1), 1).vertex_numerators(H.n).dtype == np.int64
 
     def test_certificate_requires_equal_values(self):
-        p = FractionalAssignment("matching", {(1, 2, 3): ONE}, ONE)
-        d = FractionalAssignment("cover", {1: ONE, 4: ONE}, Fraction(2))
+        p = FractionalAssignment("matching", ((1, 2, 3),), (1,), 1)
+        d = FractionalAssignment("cover", (1, 4), (1, 1), 1)
         with pytest.raises(ValueError):
             DualityCertificate(p, d)
         with pytest.raises(ValueError):
             DualityCertificate(p, p)
+        # values are compared as rationals, whatever the denominators
+        assert DualityCertificate(p, FractionalAssignment("cover", (1,), (2,), 2)).value == 1
 
 
 class TestFractionalMatching:
