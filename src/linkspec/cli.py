@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from . import __version__
@@ -47,6 +50,8 @@ from .spectral import (
 USAGE_ERROR = 1
 IO_ERROR = 2
 COUNTEREXAMPLE_EXIT = 3
+
+_INF = float("inf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +99,60 @@ def _jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _json_text(obj: Any) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, written without json's per-item generator.
+
+    A list of equal-length lists of ints, such as an edge list, is
+    formatted in one step.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+def _encode(o: Any, nl: str, out: list[str]) -> None:
+    """Append o's indent=2 JSON to `out`; `nl` is a line break and the indent of o's level."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o or o in (_INF, -_INF):
+            out.append("NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    elif isinstance(o, (dict, list, tuple)) and not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict) and all(isinstance(k, str) for k in o):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        width = len(o[0]) if type(o[0]) in (list, tuple) else 0
+        if width and all(type(r) in (list, tuple) and len(r) == width for r in o):
+            flat = tuple(chain.from_iterable(o))
+            if set(map(type, flat)) == {int}:  # not bool: "%d" would write True as 1
+                cell = inner + "  "
+                row = "[" + cell + ("," + cell).join(("%d",) * width) + inner + "]"
+                out.append(("[" + inner + ("," + inner).join((row,) * len(o)) + nl + "]") % flat)
+                return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:  # non-string keys, or a type json rejects: json's own text or TypeError
+        out.append(json.dumps(o, indent=2).replace("\n", nl))
+
+
 def _emit(args: argparse.Namespace, parameters: dict, results: Any, started: float) -> None:
     report = {
         "tool": "linkspec",
@@ -104,7 +163,7 @@ def _emit(args: argparse.Namespace, parameters: dict, results: Any, started: flo
     }
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json_text(report) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -277,7 +336,9 @@ def _cmd_absorb(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="linkspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"linkspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -7,9 +7,12 @@ The JSON mirror is ``{"n": <n>, "edges": [[a, b, c], ...]}``.  Malformed
 input in either format raises `ParseError`, which the CLI reports with
 exit 2.  Text is read in one pass of whole-text string and array
 operations, whose edge array goes straight to the `Hypergraph3`
-constructor; only when that pass cannot vouch for every line is the text
-read again line by line, to name the first bad line.  JSON edges are
-checked one by one with the same messages.
+constructor.  A body of ASCII digits, ``e``, spaces, tabs and ``\n`` after
+the header, as `serialize` writes it, is read in place from its bytes,
+with no list of lines; a body with comments, other line breaks or other
+characters is split into stripped lines first.  Only when that pass cannot
+vouch for every line is the text read again line by line, to name the
+first bad line.  JSON edges are checked one by one with the same messages.
 Parsing and serialization round-trip exactly on canonical form; duplicate
 edges are an error, never deduplicated silently.
 """
@@ -24,7 +27,7 @@ import numpy as np
 from .graphs import Graph2, Hypergraph3, lex_increasing
 
 #: deletes every character of a plain edge list: decimal digits, "e" and whitespace
-_PLAIN = dict.fromkeys(map(ord, "0123456789e \t\n"))
+_PLAIN = b"0123456789e \t\n"
 
 
 class ParseError(ValueError):
@@ -66,19 +69,25 @@ def _read_dimacs(text: str) -> Graph2 | Hypergraph3 | None:
 
     Returns None, never raises, when the text is malformed, so that
     `_read_dimacs_lines` can report the first bad line.  It accepts exactly
-    the texts the line reader accepts, with the same result: lines come from
-    ``splitlines``, are stripped, and blank and comment lines are dropped in
-    the same way; the header must be the first remaining line, and every
-    later line must be the word ``e`` and `arity` more words that `int`
-    accepts.
+    the texts the line reader accepts, with the same result: the header is
+    the first line that is neither blank nor a comment, and every later
+    line that is neither must be the word ``e`` and `arity` more words that
+    `int` accepts.  A body of ASCII digits, ``e``, spaces, tabs and ``\n``
+    has no comment and no other line break, and is read in place from its
+    bytes; any other body is split into stripped lines, its blank and
+    comment lines are dropped as the line reader drops them, and what is
+    left is read by the same plain reader, or word by word.
     """
-    lines = text.splitlines()
-    for h, line in enumerate(map(str.strip, lines)):
-        if line and not line.startswith("c"):
+    start = 0
+    while start < len(text):  # the header, one "\n"-terminated line at a time
+        stop = text.find("\n", start) + 1 or len(text)
+        kept = [s for s in map(str.strip, text[start:stop].splitlines()) if s and s[0] != "c"]
+        if kept:
             break
+        start = stop
     else:
         return None
-    tokens = line.split()
+    tokens = kept[0].split()
     if len(tokens) != 4 or tokens[0] != "p" or tokens[1] not in ("h3", "edge"):
         return None
     try:
@@ -86,50 +95,78 @@ def _read_dimacs(text: str) -> Graph2 | Hypergraph3 | None:
     except ValueError:
         return None
     width = 4 if tokens[1] == "h3" else 3
-    kept = [s for s in map(str.strip, lines[h + 1 :]) if s and s[0] != "c"]
-    if len(kept) != m:
-        return None
-    body = "\n".join(kept)
-    if body.isascii() and not body.translate(_PLAIN) and n < 2**62:
-        flat = _plain_numbers(body, m, width)
-    else:  # signs, digit separators, non-ASCII digits or spaces: word by word, as int reads them
-        rows = [s.split() for s in kept]
-        if any(len(r) != width or r[0] != "e" for r in rows):
-            return None
-        try:
-            flat = np.array([int(w) for r in rows for w in r[1:]], dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
+    # lines that another line break puts after the header on its own "\n" line
+    body = "\n".join(kept[1:] + [text[stop:]])
+    raw = _plain_bytes(body, n)
+    flat = _plain_numbers(raw, m, width) if raw is not None else _split_numbers(body, n, m, width)
     if flat is None:
         return None
     E = flat.reshape(m, width - 1)
-    if not lex_increasing(E):
-        E = E[np.lexsort(E.T[::-1])]
+    build = Hypergraph3 if width == 4 else lambda n, E: Graph2(n, tuple(map(tuple, E.tolist())))
     try:
-        if width == 4:
-            return Hypergraph3(n, E)
-        return Graph2(n, tuple(map(tuple, E.tolist())))
+        return build(n, E)
+    except ValueError:  # out of order, which the file may be, or invalid
+        if lex_increasing(E):
+            return None
+    try:
+        return build(n, E[np.lexsort(E.T[::-1])])
     except ValueError:
         return None
 
 
-def _plain_numbers(body: str, m: int, width: int) -> np.ndarray | None:
-    """The numbers of m stripped lines of ASCII digits, "e", spaces and tabs, or None.
+def _plain_bytes(body: str, n: int) -> bytes | None:
+    """`body` in ASCII if it holds only decimal digits, "e", spaces, tabs and "\n", and n < 2**62."""
+    if n < 2**62 and body.isascii():
+        raw = body.encode("ascii")
+        if not raw.translate(None, _PLAIN):
+            return raw
+    return None
 
-    None unless every line is the word "e" and width-1 decimals.  A decimal
-    that overflows int64 reads as 2**63-1, which is out of range of any n
-    below 2**62.
-    """
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    space = (b == 32) | (b == 9) | (b == 10)
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # first letter of each word
-    line_starts = np.concatenate(([0], np.flatnonzero(b == 10) + 1))[:m]
-    words = np.diff(np.searchsorted(starts, line_starts), append=len(starts))
-    e = np.flatnonzero(b == ord("e"))
-    # each line has width words and its only "e" first, followed by a space or tab
-    if (words != width).any() or len(e) != m or (e != line_starts).any() or space[e + 1].sum() != m:
+
+def _split_numbers(body: str, n: int, m: int, width: int) -> np.ndarray | None:
+    """The vertex labels of a body that is not plain, or None: its lines split and stripped,
+    blank and comment lines dropped, then read as plain text or word by word."""
+    kept = [s for s in map(str.strip, body.splitlines()) if s and s[0] != "c"]
+    if len(kept) != m:
         return None
-    return np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+    raw = _plain_bytes("\n".join(kept), n)
+    if raw is not None:
+        return _plain_numbers(raw, m, width)
+    # signs, digit separators, non-ASCII digits or spaces: word by word, as int reads them
+    rows = [s.split() for s in kept]
+    if any(len(r) != width or r[0] != "e" for r in rows):
+        return None
+    try:
+        return np.array([int(w) for r in rows for w in r[1:]], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _plain_numbers(raw: bytes, m: int, width: int) -> np.ndarray | None:
+    """The numbers of ASCII digits, "e", spaces, tabs and "\n" in `raw`, or None.
+
+    None unless m lines are not blank and each of them is the word "e" and
+    width-1 decimals.  A decimal that overflows int64 reads as 2**63-1,
+    which is out of range of any n below 2**62.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    space = b <= 32  # space, tab and "\n" are the only bytes below "0"
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # first letter of each word
+    if len(starts) != m * width:
+        return None
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    # word i follows a line break iff the first word after some "\n" is i
+    follows = np.zeros(m * width + 1, dtype=bool)
+    follows[np.searchsorted(starts, np.flatnonzero(b == 10))] = True
+    follows = follows[:-1].reshape(m, width)
+    first = starts[::width]
+    # every line holds one group of width words, and its only "e" is its first word
+    if not follows[1:, 0].all() or follows[:, 1:].any() or np.count_nonzero(b == 101) != m:
+        return None
+    if (b[first] != 101).any() or not space[first + 1].all():
+        return None
+    return np.fromstring(raw.replace(b"e", b" "), dtype=np.int64, sep=" ")
 
 
 def _read_dimacs_lines(text: str) -> Graph2 | Hypergraph3:

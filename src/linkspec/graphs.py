@@ -202,7 +202,8 @@ def _edge_array(n: int, edges: np.ndarray | Iterable[Triple]) -> np.ndarray:
             raise ValueError(f"edge {e} out of range 1..{n}")  # a label beyond int64, and n < 2**63
         raise ValueError(f"edge {e} is not an increasing triple")
     E = E.astype(np.intp, order="C")
-    increasing = (E[:, 1:] > E[:, :-1]).all()
+    a, b, c = E.T  # column by column: a 2-d comparison of strided columns is about 5x slower
+    increasing = ((a < b) & (b < c)).all()
     if not (increasing and E.min() >= 1 and E.max() <= n and lex_increasing(E)):
         _raise_first_bad_row(n, E)
         raise ValueError("edges must be sorted lexicographically")
@@ -211,6 +212,17 @@ def _edge_array(n: int, edges: np.ndarray | Iterable[Triple]) -> np.ndarray:
 
 def lex_increasing(E: np.ndarray) -> bool:
     """Whether the rows of the 2-d integer array E increase strictly in lexicographic order."""
+    if len(E) < 2:
+        return True
+    lo = int(E.min())
+    base = int(E.max()) - lo + 1
+    if base ** E.shape[1] < 2**63:  # each row as one int64 number, its digits E - lo in base `base`
+        keys = np.zeros(len(E), dtype=np.int64)
+        for column in E.T:
+            keys *= base
+            keys += column
+            keys -= lo
+        return bool((keys[1:] > keys[:-1]).all())
     # a row follows its predecessor iff their first nonzero difference is
     # positive; weighting the difference signs by 2^(k-1-j) lets it decide
     signs = np.sign(E[1:] - E[:-1])

@@ -101,7 +101,12 @@ def _simplex_core(
     R * piv - pcol prow^T multiplies a stored entry by a priced one, so
     each product is at most M^2 S, and the difference fits in int64 when
     M^2 S < _INT64_SAFE^2 = 2^62, the bound _int_dtype tests.  The test
-    runs before each pivot's pricing.
+    runs before each pivot's pricing, on a bound on M carried from pivot to
+    pivot: an updated entry is at most (M |piv| + |pcol| M) / den, for
+    |pcol| the largest entering-column entry, and the pivot row is kept.
+    Only when the carried bound fails the test is M measured, and R
+    promoted if M fails it too, so R is promoted at the pivot where the
+    measured M first fails.
     """
     (nv, w), k = rows.shape, len(b)
     # (w + 1, nv) copies with the objective row k last: a pricing gather reads them row by row
@@ -114,9 +119,12 @@ def _simplex_core(
     R[:k, k + 1] = b
     basis = list(range(nv, nv + k))
     den = 1  # current common denominator of the block (always positive)
+    bound = int(np.abs(R).max())  # at least max |R| while R is int64, and equal to it when measured
     while True:
-        if R.dtype != object and _int_dtype(int(np.abs(R).max()) ** 2 * scale) is object:
-            R = R.astype(object)  # an object array times an int64 one multiplies Python ints
+        if R.dtype != object and _int_dtype(bound**2 * scale) is object:
+            bound = int(np.abs(R).max())
+            if _int_dtype(bound**2 * scale) is object:
+                R = R.astype(object)  # an object array times an int64 one multiplies Python ints
         y = R[k]
         for lo, block_rows, block_coef in blocks:  # Bland's rule: the first improving column
             priced = y.take(block_rows)
@@ -144,15 +152,22 @@ def _simplex_core(
                 leave = i
         if leave is None:
             raise ArithmeticError("LP is unbounded")  # cannot happen for matching LPs
-        piv = pcol[leave]
-        prow = R[leave]
-        # R <- (R * piv - pcol prow^T) / den, the division exact; prow and
-        # pcol are views of the old R, read before R is rebound
-        R = (R * piv - np.multiply.outer(pcol, prow)) // den
-        R[leave] = prow
-        den = int(piv)
+        piv = int(pcol[leave])
+        R = _pivot(R, pcol, leave, den)
+        if R.dtype != object:
+            bound = max(bound, bound * (abs(piv) + int(np.abs(pcol).max())) // den)
+        den = piv
         basis[leave] = enter
     return R, basis, den
+
+
+def _pivot(R: np.ndarray, pcol: np.ndarray, leave: int, den: int) -> np.ndarray:
+    """The fraction-free pivot on row `leave` of entering column `pcol`:
+    (R * piv - pcol R[leave]^T) / den, the division exact, with row leave kept."""
+    prow = R[leave]
+    out = (R * pcol[leave] - np.multiply.outer(pcol, prow)) // den
+    out[leave] = prow
+    return out
 
 
 @dataclass(frozen=True)

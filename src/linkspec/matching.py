@@ -2,9 +2,11 @@
 
 2-graph maximum matching is delegated to networkx's blossom implementation
 (exact on general graphs); networkx is imported on first use, so only
-callers of `max_matching_graph` pay for it: no command does, and the
+callers of `max_matching_graph` need it: no command does, and the
 link-matching lift reads the matching number of a shifted link from its
-canonical pairs instead.  3-graph maximum matching is a deterministic
+canonical pairs instead.  networkx is therefore no runtime dependency; the
+`test` extra installs it for the tests, which use `max_matching_graph` as
+an oracle.  3-graph maximum matching is a deterministic
 branch-and-bound over edge inclusion, seeded with a first-fit matching and
 pruned by the floor(remaining/3) bound, a greedy hitting-set bound, and an
 optional exact-LP root bound; `find_matching_of_size` stops it at the first
@@ -60,7 +62,7 @@ class Matching3Result:
 
 
 def max_matching_graph(G: Graph2) -> tuple[int, list[Pair]]:
-    """Exact maximum matching of a general (non-bipartite) graph."""
+    """Exact maximum matching of a general (non-bipartite) graph; needs networkx."""
     import networkx as nx
 
     g = nx.Graph()

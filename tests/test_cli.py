@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkspec import cli, harness
 from linkspec.cli import main
@@ -405,6 +407,18 @@ class TestContracts:
         monkeypatch.chdir(tmp_path)
         assert golden_report(capsys, tmp_path, name).encode() == (GOLDEN_DIR / name).read_bytes()
 
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        # one parser serves every command of the process: a command's options
+        # and defaults must not leak into the next
+        assert cli.build_parser() is cli.build_parser()
+        path = gen_file(capsys, tmp_path, "h.h3", "--family", "h2", "--s", "2", "--n", "8")
+        args = ("check", path, "--s", "1", "--mode", "thm13", "--no-timing")
+        _, plain, _ = run(capsys, *args)
+        _, with_gamma, _ = run(capsys, *args, "--gamma", "0.05", "--budget", "7")
+        assert json.loads(with_gamma)["parameters"]["gamma"] == 0.05
+        _, again, _ = run(capsys, *args)
+        assert again == plain and json.loads(again)["parameters"]["gamma"] is None
+
     def test_rationals_never_serialized_as_floats(self, capsys, tmp_path):
         path = gen_file(capsys, tmp_path, "h.h3", "--family", "h2", "--s", "2", "--n", "7")
         _, out, _ = run(capsys, "fracmatch", path, "--no-timing")
@@ -412,3 +426,54 @@ class TestContracts:
         assert rep["results"]["nu_frac"] == "3/2"
         for _, w in rep["results"]["primal"]["weights"]:
             assert (isinstance(w, str) and "/" in w) or isinstance(w, int)
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json.dumps(obj, indent=2), its oracle.
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | st.sampled_from((float("inf"), float("-inf"), 0.0, -0.0, 1e-300))
+    | st.text(max_size=6) | st.sampled_from(("é", "∞", "\U0001f600", "\x00\n\"", ""))
+)
+_int_rows = st.integers(0, 3).flatmap(  # equal-length int lists, the writer's fast path
+    lambda k: st.lists(st.lists(st.integers(-(2**65), 2**65), min_size=k, max_size=k), max_size=5)
+)
+_json_values = st.recursive(
+    _json_scalars | _int_rows,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.lists(st.lists(st.integers() | st.booleans(), max_size=3), max_size=4)  # mixed lengths, bools
+        | st.lists(st.tuples(st.integers(), st.integers()), max_size=3)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1: [[1, 2]], None: {}},  # keys json converts: written by json itself
+        [[True, 1], [1, 2]],
+        [[1, 2], [3]],
+        [[], []],
+        [[[1]], [[2]]],
+        {"rows": [[1, 2, 3], [4, 5, 6]], "empty": [], "nested": {"x": [{}]}},
+        [float("nan")],
+    ],
+)
+def test_report_writer_corner_cases(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_report_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        cli._json_text({"x": object()})

@@ -2,11 +2,13 @@
 
 import json
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from linkspec import fileio
 from linkspec.constructions import h1, random_3graph
 from linkspec.fileio import (
     ParseError,
@@ -21,6 +23,7 @@ from linkspec.fileio import (
     serialize_json,
 )
 from linkspec.graphs import Graph2, Hypergraph3
+from linkspec.harness import instance_seed
 
 
 class TestParsing:
@@ -162,9 +165,23 @@ def _spell(v: int, style: str) -> str:
     return str(v)
 
 
+#: the in-place route's alphabet, and what its texts are made of: no
+#: comments, no line break but "\n", no sign, separator or non-ASCII digit
+_PLAIN_ALPHABET = set("0123456789e \t\n")
+_PLAIN_SEPARATORS = (" ", " ", "  ", "\t", " \t ")
+_PLAIN_PADS = ("", "", " ", "\t", " \t ")
+_PLAIN_FILLER = ("", "", "   ", "\t", " \t ")
+_PLAIN_BAD_TOKENS = ("1e3", "e", "ee", "e0", "00")
+_PLAIN_UNKNOWN = ("1 2 3", "e", "1", "2 e 3")
+
+
 @st.composite
-def _instance_texts(draw):
-    """(text, json twin or None, canonical text of the twin's edges)."""
+def _instance_texts(draw, in_place=False):
+    """(text, json twin or None, canonical text of the twin's edges).
+
+    With `in_place`, every line is written in the in-place route's alphabet
+    unless a fault needs a header, a sign or a letter elsewhere.
+    """
     arity = draw(st.sampled_from((3, 3, 2)))
     n = draw(st.integers(0, 8))
     tuples = list(combinations(range(1, n + 1), arity))
@@ -184,7 +201,8 @@ def _instance_texts(draw):
         elif fault in ("extra", "missing") and i > 0:  # the JSON twin takes its arity from edge 0
             rows[i] = rows[i] + [n] if fault == "extra" else rows[i][:-1]
         elif fault == "bad":
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+            bad = _PLAIN_BAD_TOKENS if in_place else _BAD_TOKENS
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(bad))
     kind = "h3" if arity == 3 else "edge"
     twin = {"n": n, "edges": rows} if rows or arity == 3 else None
     canonical = "".join(f"{line}\n" for line in [f"p {kind} {n} {len(rows)}"] + [
@@ -192,17 +210,17 @@ def _instance_texts(draw):
     ])
     # spelling and layout, all of them valid; half the texts are laid out as serialize writes them
     plain = draw(st.booleans())
-    sep = " " if plain else draw(st.sampled_from(_SEPARATORS))
-    spellings = ("plain",) if plain else _SPELLINGS
-    pads = ("",) if plain else ("", "", " ", "\t")
+    sep = " " if plain else draw(st.sampled_from(_PLAIN_SEPARATORS if in_place else _SEPARATORS))
+    spellings = ("plain",) if plain else ("plain", "zeros") if in_place else _SPELLINGS
+    pads = ("",) if plain else _PLAIN_PADS if in_place else ("", "", " ", "\t")
     lines = [f"p {kind} {n} {len(rows) + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))}"]
     for row in rows:
         words = ["e"] + [v if isinstance(v, str) else _spell(v, draw(st.sampled_from(spellings))) for v in row]
         lines.append(draw(st.sampled_from(pads)) + sep.join(words) + draw(st.sampled_from(pads)))
     for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FILLER)))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_PLAIN_FILLER if in_place else _FILLER)))
     # line-level faults
-    faults = ("glued", "glued and padded", "split", "merged and split", "e moved", "e renamed", "bare",
+    faults = ("glued", "glued and padded", "split", "merged", "merged and split", "e moved", "e renamed", "bare",
               "second header", "unknown", "no header", "late header")
     fault = draw(st.sampled_from((None,) * 3 + faults))
     edge_lines = [i for i, line in enumerate(lines) if line.strip().startswith("e")]
@@ -213,6 +231,9 @@ def _instance_texts(draw):
         i = draw(st.sampled_from(edge_lines))
         head, _, last = lines[i].strip().rpartition(sep.strip() or sep)
         lines[i : i + 1] = [head, last]
+    elif fault == "merged" and len(edge_lines) >= 2:  # two edges on one line
+        i, j = edge_lines[:2]
+        lines[i] = lines[i] + sep + lines.pop(j).strip()
     elif fault == "merged and split" and len(edge_lines) >= 2:  # two edges on one line, then as above
         i, j = edge_lines[:2]
         merged = lines[i] + sep + lines.pop(j).strip()
@@ -230,12 +251,13 @@ def _instance_texts(draw):
     elif fault == "second header":
         lines.insert(draw(st.integers(1, len(lines))), lines[0])
     elif fault == "unknown":
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("x 1 2 3", "p", "E 1 2 3", "1 2 3"))))
+        unknown = _PLAIN_UNKNOWN if in_place else ("x 1 2 3", "p", "E 1 2 3", "1 2 3")
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(unknown)))
     elif fault == "no header":
         lines = [line for line in lines if not line.strip().startswith("p")]
     elif fault == "late header" and edge_lines:
         lines.insert(edge_lines[-1] + 1, lines.pop(0))
-    end = "\n" if plain else draw(st.sampled_from(_LINE_ENDS))
+    end = "\n" if plain or in_place else draw(st.sampled_from(_LINE_ENDS))
     text = end.join(lines) + draw(st.sampled_from((end, "")))
     return text, twin, canonical
 
@@ -259,6 +281,8 @@ def _assert_readers_agree(text):
     [
         "p h3 9 2\ne 1 e 2\n3 4 5 6\n",  # an "e" inside a line and a line without one
         "p h3 9 1\n1 e 2 3\n",
+        "p h3 9 2\ne 1 2 3 e 4 5 6\n",  # two edges on one line
+        "p h3 9 2\n\n  e 1 2 3\t\n \t\ne 4 5 6",  # blank and padded lines, no final newline
         "p h3 9 2\ne 1 2 3\nx 4 5 6\n",
         "p h3 9 2\ne 1 2 3\nE 4 5 6\n",
         f"p h3 {2**63} 1\ne 1 2 99999999999999999999\n",  # overflows int64, and n is out of its reach too
@@ -286,3 +310,37 @@ def test_one_pass_reader_agrees_with_the_line_reader(case):
         except ParseError:
             got = None
         assert type(got) is type(expected) and got == expected
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_instance_texts(in_place=True))
+def test_in_place_route_agrees_with_the_line_reader(case):
+    # comment-free texts of digits, "e", spaces, tabs and "\n", with blank and
+    # whitespace-only lines, padded lines and an optional final newline: the
+    # body after a readable header is read from its bytes, never split
+    text, _, _ = case
+    lines = text.split("\n")
+    h = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    header = lines[h].split() if h < len(lines) else []
+    readable = len(header) == 4 and header[:2] in (["p", "h3"], ["p", "edge"]) and all(
+        w.isdecimal() for w in header[2:]
+    )
+    in_place = readable and set("\n".join(lines[h + 1 :])) <= _PLAIN_ALPHABET
+    with mock.patch.object(fileio, "_split_numbers", wraps=fileio._split_numbers) as split:
+        _assert_readers_agree(text)
+    assert not (in_place and split.called)
+
+
+def test_serialized_instance_is_read_in_place(tmp_path, monkeypatch):
+    # what serialize writes needs neither the split route nor the line reader
+    H = random_3graph(100, 0.7, instance_seed(20260925, 0)).hypergraph
+    path = tmp_path / "n100.h3"
+    save_instance(H, path)
+
+    def refuse(*args):
+        raise AssertionError("a serialized instance left the in-place route")
+
+    monkeypatch.setattr(fileio, "_split_numbers", refuse)
+    monkeypatch.setattr(fileio, "_read_dimacs_lines", refuse)
+    assert load_instance(path) == H
+    assert parse_instance(serialize(Graph2(4, ((1, 2), (2, 4))))) == Graph2(4, ((1, 2), (2, 4)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2, split_graph
-from linkspec.graphs import KEY_MAX_N, Graph2, Hypergraph3, complement, induced, link_graph
+from linkspec.graphs import KEY_MAX_N, Graph2, Hypergraph3, complement, induced, lex_increasing, link_graph
 
 from conftest import rand_3graph, rand_graph
 
@@ -153,6 +153,23 @@ class TestEdgeArray:
         assert "_edge_keys" not in vars(H) and H.has_edge((1, 2, 3)) and "_edge_keys" in vars(H)
         G = pickle.loads(pickle.dumps(H))
         assert G == H and hash(G) == hash(H) and "_edge_keys" not in vars(G)
+
+    def test_lex_increasing_is_tuple_order(self):
+        # rows as int64 keys while (max - min + 1)^3 < 2^63, offset from the
+        # minimum, and by row differences beyond that
+        rng = random.Random(12)
+        # entries wrap .. wrap + 3 make base-4 keys 16a + 4b + c; not offset by the
+        # minimum they would carry 21 * wrap = 2^63 - 10 (mod 2^64) and wrap at 2^63
+        wrap = (2**63 - 10) * pow(21, -1, 2**64) % 2**64
+        for lo, hi in ((1, 4), (-5, 5), (wrap, wrap + 3), (0, 2**40), (-(2**61), 2**61)):
+            for _ in range(300):
+                rows = sorted({tuple(rng.randint(lo, hi) for _ in range(3)) for _ in range(rng.randint(0, 6))})
+                if len(rows) > 1 and rng.random() < 0.5:  # a repeat or a swap
+                    i = rng.randrange(len(rows) - 1)
+                    rows[i + 1] = rows[i] if rng.random() < 0.5 else rows[i + 1]
+                    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+                E = np.array(rows, dtype=np.int64).reshape(-1, 3)
+                assert lex_increasing(E) == all(r < s for r, s in zip(rows, rows[1:]))
 
     def test_any_iterable_of_triples(self):
         assert Hypergraph3(4, iter([(1, 2, 3)])) == Hypergraph3(4, ((1, 2, 3),))

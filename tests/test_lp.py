@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linkspec import lp
 from linkspec.constructions import complete_3graph, h1, h2
 from linkspec.graphs import Hypergraph3
 from linkspec.lp import (
@@ -82,6 +83,34 @@ class TestSimplex:
             promoted += bigints
             assert tuple(solution) == ref_max(c, rows, b)
         assert promoted >= 5
+
+    def test_promotion_pivot_is_the_per_pivot_scan_one(self, monkeypatch):
+        # the core measures max |R| only when the bound it carries from pivot
+        # to pivot fails the overflow test; it must still promote at the pivot
+        # where measuring before every pivot would, on the LPs above
+        seen = []
+        real_pivot = lp._pivot
+
+        def recorded_pivot(R, *args):
+            seen.append((R.dtype == object, int(np.abs(R).max())))
+            return real_pivot(R, *args)
+
+        monkeypatch.setattr(lp, "_pivot", recorded_pivot)
+        mid_solve = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            k = 6
+            c = [rng.randint(1, 9) for _ in range(k)]
+            rows = [[rng.randint(0, 2000) for _ in range(k)] for _ in range(k)]
+            b = [rng.randint(1000, 5000) for _ in range(k)]
+            seen.clear()
+            core_max(c, rows, b)
+            scale = (k + 1) * max(map(max, rows + [c]))  # (w + 1) max |coef|, w = k rows a column
+            scan = [M * M * scale >= _INT64_SAFE**2 for _, M in seen]
+            reference = [any(scan[: t + 1]) for t in range(len(scan))]
+            assert [promoted for promoted, _ in seen] == reference
+            mid_solve += 0 < reference.index(True) if True in reference else 0
+        assert mid_solve >= 5
 
     def test_pricing_sum_overflow_promotes(self):
         # every datum and every stored entry stays below _INT64_SAFE, but
