@@ -54,11 +54,9 @@ from .lp import (  # noqa: F401
 from .constructions import (  # noqa: F401
     LabeledInstance,
     complete_3graph,
-    enumerate_3graphs,
     h1,
     h2,
     random_3graph,
-    split_graph,
 )
 from .harness import (  # noqa: F401
     CheckReport,

@@ -26,7 +26,6 @@ from .constructions import complete_3graph, h1, h2, random_3graph
 from .fileio import ParseError, edge_lists, load_instance, save_instance, serialize, serialize_json
 from .graphs import Graph2, Hypergraph3
 from .harness import (
-    MODES,
     LiftFailure,
     check_thm11,
     lift_link_matching,
@@ -343,13 +342,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"linkspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, with_limit: bool = False) -> None:
+    def common(p: _Parser, tol: bool = False, eps: bool = False, with_limit: bool = False) -> None:
+        """The report options, and the numeric ones that the command's handler reads."""
         p.add_argument("-o", "--output", help="write the JSON report to FILE instead of stdout")
         p.add_argument("--no-timing", action="store_true", help="omit the timing field")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                       help="bound on the certified error of each spectral radius")
-        p.add_argument("--eps", type=float, default=DEFAULT_COMPARISON_SLACK,
-                       help="comparison slack for strict inequalities")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                           help="bound on the certified error of each spectral radius")
+        if eps:
+            p.add_argument("--eps", type=float, default=DEFAULT_COMPARISON_SLACK,
+                           help="comparison slack for strict inequalities")
         if with_limit:
             p.add_argument("--limit", type=_triple_limit, default=DEFAULT_TRIPLE_LIMIT,
                            help="C(n,3) guard for the exact LP; 0 disables the guard")
@@ -368,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--vertex", type=int, help="restrict to one vertex")
     p.add_argument("--s", type=int, help="also report the matching threshold for this s")
-    common(p)
+    common(p, tol=True, eps=True)
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("match", help="exact matching number with witness")
@@ -389,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, help="also report the (2/3+gamma)n condition")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--strict", action="store_true", help="exit 3 on a conjecture counterexample")
-    common(p, with_limit=True)
+    common(p, tol=True, eps=True, with_limit=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="exhaustive or random counterexample search")
@@ -404,7 +406,7 @@ def build_parser() -> _Parser:
                    help="worker processes for random search (0 = all cores)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--strict", action="store_true", help="exit 3 if a counterexample is found")
-    common(p)
+    common(p, eps=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("shift", help="fractional-cover shift with closure verification")

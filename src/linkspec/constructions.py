@@ -1,56 +1,29 @@
-"""Generators for the extremal families, split graphs, and random instances.
-
-Each labelled instance carries the analytically expected statistics of its
-family.  The expectations are derivations (split-graph link radii,
-clique-plus-isolated-vertices links, hub covers) and are meant to be
-validated by the exact solvers before being trusted in reports.
-"""
+"""Generators for the extremal families and random instances, and the
+lexicographic triple indexing that bitmask and coin draws share."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat, starmap
-from math import comb
-from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph2, Hypergraph3
-from .spectral import threshold_match
-
-MAX_ENUMERABLE_TRIPLES = 24
-
-
-@dataclass(frozen=True)
-class Expected:
-    """Closed-form statistics attached to a generated family instance."""
-
-    min_link_rho: float | None = None
-    nu: int | None = None
-    nu_frac: Fraction | None = None
+from .graphs import Hypergraph3
 
 
 @dataclass(frozen=True)
 class LabeledInstance:
     hypergraph: Hypergraph3
     family: str
-    expected: Expected | None = None
 
 
 def complete_3graph(n: int) -> LabeledInstance:
     """All triples on n vertices."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    H = Hypergraph3(n, lex_triple_array(n))
-    exp = Expected(
-        min_link_rho=float(n - 2) if n >= 2 else 0.0,
-        nu=n // 3,
-        nu_frac=Fraction(n, 3),
-    )
-    return LabeledInstance(H, f"complete({n})", exp)
+    return LabeledInstance(Hypergraph3(n, lex_triple_array(n)), f"complete({n})")
 
 
 def h1(s: int, n: int) -> LabeledInstance:
@@ -68,14 +41,7 @@ def h1(s: int, n: int) -> LabeledInstance:
     if s > n:
         raise ValueError(f"need s <= n, got s={s}, n={n}")
     T = lex_triple_array(n)
-    H = Hypergraph3(n, T[T[:, 0] <= s])
-    exp = Expected(
-        # h1(s, n) is complete for s >= n-2; the cap keeps threshold_match's n >= s+1
-        min_link_rho=threshold_match(min(s, n - 1), n),
-        nu=min(s, n // 3),
-        nu_frac=Fraction(min(s, n // 3)) if n < 3 * s else Fraction(s),
-    )
-    return LabeledInstance(H, f"h1({s},{n})", exp)
+    return LabeledInstance(Hypergraph3(n, T[T[:, 0] <= s]), f"h1({s},{n})")
 
 
 def h2(s: int, n: int) -> LabeledInstance:
@@ -94,21 +60,7 @@ def h2(s: int, n: int) -> LabeledInstance:
         raise ValueError(f"need 2s-1 <= n, got s={s}, n={n}")
     hubs = 2 * s - 1
     T = lex_triple_array(n)
-    H = Hypergraph3(n, T[(T <= hubs).sum(axis=1) >= 2])
-    exp = Expected(
-        min_link_rho=float(2 * s - 2) if n > hubs else None,
-        nu=s - 1 if n >= 3 * (s - 1) else None,
-        nu_frac=Fraction(hubs, 2) if n >= 3 * s else None,
-    )
-    return LabeledInstance(H, f"h2({s},{n})", exp)
-
-
-def split_graph(s: int, n: int) -> tuple[Graph2, float]:
-    """K_s joined with an independent set on n-s vertices, and its exact rho."""
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    edges = [(a, b) for a, b in combinations(range(1, n + 1), 2) if a <= s]
-    return Graph2(n, tuple(edges)), threshold_match(s, n + 1)
+    return LabeledInstance(Hypergraph3(n, T[(T <= hubs).sum(axis=1) >= 2]), f"h2({s},{n})")
 
 
 def random_3graph(n: int, p: float, seed: int) -> LabeledInstance:
@@ -149,14 +101,3 @@ def hypergraph_from_bitmask(n: int, mask: int) -> Hypergraph3:
     bits = np.unpackbits(np.frombuffer(mask.to_bytes(len(T) // 8 + 1, "little"), np.uint8), bitorder="little")
     return Hypergraph3(n, T[bits[: len(T)].astype(bool)])
 
-
-def enumerate_3graphs(n: int) -> Iterator[Hypergraph3]:
-    """All 2^C(n,3) hypergraphs on n vertices, in bitmask order.
-
-    Requires C(n,3) <= 24, i.e. full enumeration is only offered up to n=6.
-    """
-    m = comb(n, 3)
-    if m > MAX_ENUMERABLE_TRIPLES:
-        raise ValueError(f"C({n},3) = {m} exceeds the exhaustive limit {MAX_ENUMERABLE_TRIPLES}")
-    for mask in range(1 << m):
-        yield hypergraph_from_bitmask(n, mask)

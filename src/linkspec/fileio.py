@@ -243,20 +243,6 @@ def parse_instance(text: str) -> Graph2 | Hypergraph3:
     return _parse_dimacs(text)
 
 
-def parse_h3(text: str) -> Hypergraph3:
-    obj = parse_instance(text)
-    if not isinstance(obj, Hypergraph3):
-        raise ParseError("expected a 3-graph instance, got a 2-graph")
-    return obj
-
-
-def parse_graph(text: str) -> Graph2:
-    obj = parse_instance(text)
-    if not isinstance(obj, Graph2):
-        raise ParseError("expected a 2-graph instance, got a 3-graph")
-    return obj
-
-
 def serialize(obj: Graph2 | Hypergraph3) -> str:
     """Canonical newline-terminated text form; parse(serialize(x)) == x."""
     if isinstance(obj, Hypergraph3):

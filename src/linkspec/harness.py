@@ -26,13 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constructions import (
-    MAX_ENUMERABLE_TRIPLES,
-    hypergraph_from_bitmask,
-    lex_triple_array,
-    lex_triples,
-    random_3graph,
-)
+from .constructions import hypergraph_from_bitmask, lex_triple_array, lex_triples, random_3graph
 from .graphs import Graph2, Hypergraph3
 from .lp import (
     DEFAULT_TRIPLE_LIMIT,
@@ -187,42 +181,28 @@ def verify_theorem(
     if mode == "conj_pm" and H.n != 3 * s + 3:
         return replace(rep, notes=rep.notes + ("skipped: conclusion undefined at this n",))
 
-    try:
-        if mode in ("thm12", "conj_matching"):
-            witness, decided = find_matching_of_size(H, s + 1, budget)
-            if witness is not None:
-                return replace(rep, verdict="consistent", witness=witness)
-            if not decided:
-                return replace(rep, notes=rep.notes + ("skipped: search budget exhausted",))
-            ok = False
-            extra: dict = {"nu": None}
-        elif mode == "thm13":
-            witness, decided = find_matching_of_size(H, s + 1, budget)
-            if witness is not None:
-                return replace(rep, verdict="consistent", witness=witness)
+    witness, decided = find_matching_of_size(H, H.n // 3 if mode == "conj_pm" else s + 1, budget)
+    if witness is not None:
+        pfm = True if mode == "conj_pm" else None
+        return replace(rep, verdict="consistent", perfect_matching=pfm, witness=witness)
+    if mode == "thm13":  # no integral witness: the exact LP decides nu* >= s+1
+        try:
             cert = fractional_matching(H, lp_limit)
-            ok = cert.value >= s + 1
-            pfm = cert.value == Fraction(H.n, 3) if H.n == 3 * s + 3 else None
-            rep = replace(rep, nu_frac=cert.value, perfect_matching=pfm, witness=cert)
-            extra = {}
-        else:  # conj_pm
-            witness, decided = find_matching_of_size(H, H.n // 3, budget)
-            if witness is not None:
-                return replace(rep, verdict="consistent", perfect_matching=True, witness=witness)
-            if not decided:
-                return replace(rep, notes=rep.notes + ("skipped: search budget exhausted",))
-            ok = False
-            extra = {"perfect_matching": False}
-    except LpSizeError as exc:
-        return replace(rep, notes=rep.notes + (f"skipped: {exc}",))
-
-    if ok:
-        return replace(rep, verdict="consistent", **extra)
+        except LpSizeError as exc:
+            return replace(rep, notes=rep.notes + (f"skipped: {exc}",))
+        pfm = cert.value == Fraction(H.n, 3) if H.n == 3 * s + 3 else None
+        rep = replace(rep, nu_frac=cert.value, perfect_matching=pfm, witness=cert)
+        if cert.value >= s + 1:
+            return replace(rep, verdict="consistent")
+    elif not decided:
+        return replace(rep, notes=rep.notes + ("skipped: search budget exhausted",))
+    elif mode == "conj_pm":
+        rep = replace(rep, perfect_matching=False)
     if notes:  # no statement says anything outside its hypothesis
-        return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",), **extra)
+        return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",))
     if mode.startswith("conj"):
-        return replace(rep, verdict="counterexample", instance=H, **extra)
-    return replace(rep, verdict="bug_suspect", instance=H, **extra)
+        return replace(rep, verdict="counterexample", instance=H)
+    return replace(rep, verdict="bug_suspect", instance=H)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +211,7 @@ def verify_theorem(
 
 @dataclass(frozen=True)
 class ShiftedPair:
-    """A hypergraph, its minimum fractional cover, and the shifted closure.
+    """A hypergraph's minimum fractional cover and its shifted closure.
 
     `order` lists original vertex labels by descending cover weight (ties by
     label), so new label i corresponds to original vertex order[i-1].  The
@@ -239,7 +219,6 @@ class ShiftedPair:
     least 1; it is shift-closed and preserves nu* exactly.
     """
 
-    original: Hypergraph3
     cover: FractionalAssignment
     order: tuple[int, ...]
     shifted: Hypergraph3
@@ -272,7 +251,7 @@ def shift(H: Hypergraph3, lp_limit: int | None = DEFAULT_TRIPLE_LIMIT) -> Shifte
     # numerators sum to at least den: an edge-cover check of `shifted`
     # would recompute the same integer sums, so it could not fail.  Hence
     # nu*(H) <= nu*(shifted) <= tau* witness = nu*(H).
-    return ShiftedPair(H, cert.dual, order, shifted, cert.value)
+    return ShiftedPair(cert.dual, order, shifted, cert.value)
 
 
 def shift_closure_holds(shifted: Hypergraph3) -> bool:
@@ -350,14 +329,29 @@ def _has_disjoint_edges(masks: Sequence[int], k: int) -> bool:
     return rec(0, 0, k)
 
 
+#: most candidate 6-sets absorbing_sets scans, which allows n <= 25; at n = 25,
+#: p = 0.7 its 74 613 sets took about 9 s on a 2-vCPU VM
+MAX_ABSORB_SIX_SETS = 10**5
+
+
 def absorbing_sets(H: Hypergraph3, T: Iterable[int]) -> list[tuple[int, ...]]:
-    """All 6-sets A disjoint from T with nu(H[A]) >= 2 and nu(H[A+T]) >= 3."""
+    """All 6-sets A disjoint from T with nu(H[A]) >= 2 and nu(H[A+T]) >= 3.
+
+    Every one of the C(n-3, 6) candidate sets is scanned, so a ValueError
+    refuses a scan of more than MAX_ABSORB_SIX_SETS of them.
+    """
     ts = tuple(sorted(set(T)))
     if len(ts) != 3:
         raise ValueError(f"T must have exactly 3 vertices, got {ts}")
     for v in ts:
         if not 1 <= v <= H.n:
             raise ValueError(f"vertex {v} out of range 1..{H.n}")
+    count = comb(H.n - 3, 6)
+    if count > MAX_ABSORB_SIX_SETS:
+        raise ValueError(
+            f"absorbing sets at n={H.n} scan C({H.n - 3},6) = {count} six-sets, "
+            f"more than the limit {MAX_ABSORB_SIX_SETS}"
+        )
     rest = [v for v in range(1, H.n + 1) if v not in ts]
     edge_masks = [1 << a | 1 << b | 1 << c for a, b, c in H.edge_array.tolist()]
     t_mask = sum(1 << v for v in ts)
@@ -384,13 +378,7 @@ class RemovalEdgeCountVerdict:
     required_double: int | None = None  # 2 e(G-R) must exceed this integer
 
 
-def lemma25_check(
-    G: Graph2,
-    s: int,
-    max_r: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    eps: float = DEFAULT_COMPARISON_SLACK,
-) -> RemovalEdgeCountVerdict:
+def lemma25_check(G: Graph2, s: int, max_r: int) -> RemovalEdgeCountVerdict:
     """Exhaustively verify e(G-R) > (s-r)(n-s)/2 for all |R| <= min(max_r, s).
 
     Applicable only when rho(G) strictly exceeds the s-parameter split-graph
@@ -400,8 +388,8 @@ def lemma25_check(
     if n < s + 1:
         raise ValueError(f"need n >= s+1, got n={n}, s={s}")
     threshold = threshold_match(s, n + 1)
-    rho = spectral_radius(G, tolerance).value
-    if rho <= threshold + eps:
+    rho = spectral_radius(G).value
+    if rho <= threshold + DEFAULT_COMPARISON_SLACK:
         return RemovalEdgeCountVerdict("not_applicable", rho, threshold)
     verts = range(1, n + 1)
     for r in range(0, min(max_r, s) + 1):
@@ -490,14 +478,18 @@ def _link_bit_maps(n: int) -> list[list[tuple[int, int]]]:
     return maps
 
 
+#: search_exhaustive scans all 2^C(n,3) instances only up to this C(n,3), that is n <= 6
+MAX_ENUMERABLE_TRIPLES = 24
+#: instances whose link radii search_exhaustive looks up in one array pass
+EXHAUSTIVE_CHUNK = 1 << 16
+
+
 def search_exhaustive(
     n: int,
     s: int,
     mode: str,
     eps: float = DEFAULT_COMPARISON_SLACK,
     budget: int = DEFAULT_BUDGET,
-    lp_limit: int | None = DEFAULT_TRIPLE_LIMIT,
-    chunk: int = 1 << 16,
 ) -> SearchSummary:
     """Scan every 3-graph on n <= 6 vertices for violations of the mode.
 
@@ -530,8 +522,8 @@ def search_exhaustive(
     counts = _new_counts()
     violations: list[CheckReport] = []
     total = 1 << m
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, EXHAUSTIVE_CHUNK):
+        ids = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, total), dtype=np.int64)
         rho_stack = np.empty((n, len(ids)))
         for v in range(n):
             lm = np.zeros(len(ids), dtype=np.int64)
@@ -565,7 +557,6 @@ def search_exhaustive(
                 mode,
                 budget=budget,
                 eps=eps,
-                lp_limit=lp_limit,
                 link_rho=rho_stack[:, ci],
                 instance_id=f"exhaustive(n={n})#{mask}",
             )
@@ -595,9 +586,9 @@ def instance_seed(base_seed: int, k: int) -> int:
 
 
 def _random_range_worker(
-    args: tuple[int, float, int, int, int, int, str, float, int, int | None],
+    args: tuple[int, float, int, int, int, int, str, float, int],
 ) -> tuple[dict[str, int], list[CheckReport]]:
-    n, p, base_seed, lo, hi, s, mode, eps, budget, lp_limit = args
+    n, p, base_seed, lo, hi, s, mode, eps, budget = args
     counts = _new_counts()
     violations: list[CheckReport] = []
     for k in range(lo, hi):
@@ -608,7 +599,6 @@ def _random_range_worker(
             mode,
             budget=budget,
             eps=eps,
-            lp_limit=lp_limit,
             instance_id=f"random(n={n},p={p},seed={base_seed})#{k}",
         )
         _tally(counts, rep)
@@ -626,7 +616,6 @@ def search_random(
     mode: str,
     eps: float = DEFAULT_COMPARISON_SLACK,
     budget: int = DEFAULT_BUDGET,
-    lp_limit: int | None = DEFAULT_TRIPLE_LIMIT,
     threads: int = 1,
 ) -> SearchSummary:
     """Verify `samples` seeded random instances; deterministic for fixed params.
@@ -650,7 +639,7 @@ def search_random(
     else:
         step = -(-samples // threads)
         ranges = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-    payloads = [(n, p, seed, lo, hi, s, mode, eps, budget, lp_limit) for lo, hi in ranges]
+    payloads = [(n, p, seed, lo, hi, s, mode, eps, budget) for lo, hi in ranges]
     counts = _new_counts()
     violations: list[CheckReport] = []
     if len(payloads) == 1:

@@ -47,11 +47,6 @@ class Matching3:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def validate_in(self, H: Hypergraph3) -> None:
-        for e in self.edges:
-            if not H.has_edge(e):
-                raise ValueError(f"{e} is not an edge of the host hypergraph")
-
 
 @dataclass(frozen=True)
 class Matching3Result:

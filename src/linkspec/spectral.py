@@ -63,7 +63,6 @@ class SpectralReport:
     residual: float
     iterations: int
     tolerance: float
-    component_count: int
 
     @property
     def converged(self) -> bool:
@@ -372,9 +371,8 @@ def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> Spectral
     the proven error is at most `tolerance`.
     """
     _check_tolerance(tolerance)
-    comps = _components(G)
     if G.m == 0:
-        return SpectralReport(0.0, 0.0, 0, tolerance, len(comps))
+        return SpectralReport(0.0, 0.0, 0, tolerance)
     ea = np.asarray(G.edges) - 1
     A = np.zeros((1, G.n, G.n))
     A[0, ea[:, 0], ea[:, 1]] = 1.0
@@ -382,7 +380,7 @@ def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> Spectral
     (value,), (lo,), (hi,) = (a.tolist() for a in _certified_radii(A, tolerance))
     # fsum rounds the exact difference to nearest; one step up keeps the bound proven
     err = max(math.fsum((value, -lo)), math.fsum((hi, -value)))
-    return SpectralReport(value, math.nextafter(err, math.inf), 1, tolerance, len(comps))
+    return SpectralReport(value, math.nextafter(err, math.inf), 1, tolerance)
 
 
 def stanley_bound(m: int) -> float:
@@ -417,13 +415,10 @@ def hong_bound(G: Graph2) -> float:
     return best
 
 
-def terpai_gap(
-    G: Graph2,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> float:
+def terpai_gap(G: Graph2) -> float:
     """Slack in the Nordhaus-Gaddum bound rho(G) + rho(co-G) <= 4n/3 - 1."""
-    rho = spectral_radius(G, tolerance).value
-    rho_c = spectral_radius(complement(G), tolerance).value
+    rho = spectral_radius(G).value
+    rho_c = spectral_radius(complement(G)).value
     return (4.0 * G.n / 3.0 - 1.0) - (rho + rho_c)
 
 

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: commands, report format, exit codes, determinism."""
 
+import argparse
 import json
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -32,8 +35,8 @@ def fano_file(tmp_path):
 
 
 #: `--no-timing` reports kept byte for byte: name -> (instance file, its `gen`
-#: arguments, the command); each command runs in a directory holding only
-#: the instance, so the file name in the report is the relative one
+#: arguments or its text, the command); each command runs in a directory
+#: holding only the instance, so the file name in the report is the relative one
 GOLDEN_REPORTS = {
     "fracmatch_random12.json": (
         "r12.h3", ("--family", "random", "--n", "12", "--p", "0.5", "--seed", "3"), ("fracmatch", "r12.h3"),
@@ -56,6 +59,11 @@ GOLDEN_REPORTS = {
         ("search", "--space", "random", "--n", "9", "--s", "2", "--mode", "thm13",
          "--p", "0.7", "--samples", "40", "--seed", "5", "--threads", "1"),
     ),
+    "rho_random12_s2.json": (
+        "r12.h3", ("--family", "random", "--n", "12", "--p", "0.5", "--seed", "3"), ("rho", "r12.h3", "--s", "2"),
+    ),
+    # a triangle with a pendant edge, and a disjoint edge
+    "rho_graph.json": ("g.edge", "p edge 6 5\ne 1 2\ne 1 3\ne 2 3\ne 3 4\ne 5 6\n", ("rho", "g.edge")),
 }
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -64,7 +72,9 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 def golden_report(capsys, directory, name):
     """Run the command of GOLDEN_REPORTS[name] in `directory`; its stdout."""
     instance, family, command = GOLDEN_REPORTS[name]
-    if instance is not None:
+    if isinstance(family, str):
+        (directory / instance).write_text(family)
+    elif instance is not None:
         assert main(["gen", *family, "-o", str(directory / instance)]) == 0
     code, out, _ = run(capsys, *command, "--no-timing")
     assert code == 0
@@ -353,8 +363,61 @@ class TestShiftAbsorb:
         code, _, err = run(capsys, "absorb", path, "--t", "1,x,3", "--no-timing")
         assert code == 1
 
+    def test_absorb_refuses_a_scan_past_the_limit(self, capsys, tmp_path):
+        # the criterion-5 instance at n = 100 would scan C(97, 6) six-sets
+        path = tmp_path / "n100.h3"
+        path.write_text(serialize(random_3graph(100, 0.7, instance_seed(20260925, 0)).hypergraph))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "absorb", str(path), "--t", "1,2,3", "--no-timing")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert f"C(97,6) = {comb(97, 6)} six-sets, more than the limit {harness.MAX_ABSORB_SIX_SETS}" in err
+
+
+#: every command's options, pinned as tests/test_packaging.py pins the exports:
+#: a command takes an option only if its handler reads it
+COMMAND_OPTIONS = {
+    "gen": {"--family", "--s", "--n", "--p", "--seed", "--json", "--output"},
+    "rho": {"file", "--vertex", "--s", "--output", "--no-timing", "--tol", "--eps"},
+    "match": {"file", "--budget", "--output", "--no-timing"},
+    "fracmatch": {"file", "--output", "--no-timing", "--limit"},
+    "check": {
+        "file", "--s", "--mode", "--gamma", "--budget", "--strict",
+        "--output", "--no-timing", "--tol", "--eps", "--limit",
+    },
+    "search": {
+        "--space", "--n", "--s", "--mode", "--p", "--samples", "--seed", "--threads",
+        "--budget", "--strict", "--output", "--no-timing", "--eps",
+    },
+    "shift": {"file", "--lift-s", "--output", "--no-timing", "--limit"},
+    "absorb": {"file", "--t", "--output", "--no-timing"},
+}
+
 
 class TestContracts:
+    def test_command_options_are_pinned(self):
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {max(a.option_strings, key=len, default=a.dest) for a in p._actions if a.dest != "help"}
+            for name, p in commands.choices.items()
+        }
+        assert options == COMMAND_OPTIONS
+        assert sum(len(o - {"file"}) for o in options.values()) == 49
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(c, o) for c in ("match", "fracmatch", "shift", "absorb") for o in ("--tol", "--eps")] + [("search", "--tol")],
+    )
+    def test_options_a_command_does_not_read_are_usage_errors(self, capsys, fano_file, command, option):
+        if command == "search":
+            argv = ["search", "--space", "exhaustive", "--n", "4", "--s", "1", "--mode", "thm13"]
+        else:
+            argv = [command, fano_file] + (["--t", "1,2,3"] if command == "absorb" else [])
+        with pytest.raises(SystemExit) as err:
+            main([*argv, option, "1", "--no-timing"])
+        assert err.value.code == 1
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["rho"])  # missing file argument

@@ -1,4 +1,4 @@
-"""Extremal family generators, split graphs, and random/exhaustive sources."""
+"""Extremal family generators, their split-graph links, and random/exhaustive sources."""
 
 import math
 import random
@@ -10,20 +10,18 @@ import pytest
 
 from linkspec.constructions import (
     complete_3graph,
-    enumerate_3graphs,
     h1,
     h2,
     hypergraph_from_bitmask,
     lex_triple_array,
     lex_triples,
     random_3graph,
-    split_graph,
 )
 from linkspec.graphs import link_graph
-from linkspec.harness import instance_seed
+from linkspec.harness import instance_seed, search_exhaustive
 from linkspec.lp import fractional_matching
 from linkspec.matching import find_matching_of_size, max_matching_3graph
-from linkspec.spectral import spectral_radius, threshold_match
+from linkspec.spectral import exact_threshold_match, link_spectra, spectral_radius, threshold_match
 
 from conftest import ref_random_3graph_edges
 
@@ -41,12 +39,10 @@ class TestH1:
         assert H.m == comb(10, 3) - comb(7, 3)
 
     def test_expected_statistics(self):
-        inst = h1(2, 9)
-        assert inst.expected.min_link_rho == pytest.approx(4, abs=TOL)
-        assert inst.expected.nu == 2 and inst.expected.nu_frac == 2
-        inst = h1(1, 6)
-        assert inst.expected.min_link_rho == pytest.approx(2, abs=TOL)
-        assert inst.expected.nu == 1
+        for s, n, rho in ((2, 9, 4), (1, 6, 2)):
+            H = h1(s, n).hypergraph
+            assert min(link_spectra(H).rho) == pytest.approx(rho, abs=TOL)
+            assert max_matching_3graph(H).size == s and fractional_matching(H).value == s
 
     def test_min_link_rho_attained_outside_hub(self):
         for s, n in [(1, 6), (2, 9), (3, 12), (4, 15), (2, 7), (3, 10)]:
@@ -55,17 +51,17 @@ class TestH1:
                 spectral_radius(link_graph(inst.hypergraph, v)[0]).value
                 for v in range(1, n + 1)
             ]
-            assert min(rhos) == pytest.approx(inst.expected.min_link_rho, abs=TOL)
+            assert min(rhos) == pytest.approx(threshold_match(s, n), abs=TOL)
             for v in range(1, n + 1):
                 if v <= s:
                     assert rhos[v - 1] == pytest.approx(n - 2, abs=TOL)
                 else:
-                    assert rhos[v - 1] == pytest.approx(inst.expected.min_link_rho, abs=TOL)
+                    assert rhos[v - 1] == pytest.approx(threshold_match(s, n), abs=TOL)
 
     def test_matching_numbers_confirmed_exactly(self):
         for s, n in [(1, 6), (2, 9), (2, 10), (3, 12)]:
             inst = h1(s, n)
-            assert max_matching_3graph(inst.hypergraph).size == inst.expected.nu == s
+            assert max_matching_3graph(inst.hypergraph).size == s
             assert fractional_matching(inst.hypergraph).value == Fraction(s)
             witness, decided = find_matching_of_size(inst.hypergraph, s + 1)
             assert decided and witness is None  # no matching of size s+1
@@ -82,7 +78,7 @@ class TestH1:
     def test_degenerate_all_hub(self):
         inst = h1(9, 9)  # every link is complete
         assert inst.hypergraph.m == comb(9, 3)
-        assert inst.expected.min_link_rho == pytest.approx(7)
+        assert min(link_spectra(inst.hypergraph).rho) == pytest.approx(7)
 
 
 class TestH2:
@@ -91,10 +87,10 @@ class TestH2:
         assert all(sum(1 for v in e if v <= 5) >= 2 for e in H.edges)
 
     def test_expected_statistics(self):
-        inst = h2(3, 10)
-        assert inst.expected.min_link_rho == pytest.approx(4, abs=TOL)
-        assert inst.expected.nu == 2
-        assert inst.expected.nu_frac == Fraction(5, 2)
+        H = h2(3, 10).hypergraph
+        assert min(link_spectra(H).rho) == pytest.approx(4, abs=TOL)
+        assert max_matching_3graph(H).size == 2
+        assert fractional_matching(H).value == Fraction(5, 2)
 
     def test_min_link_rho_attained_outside_hub(self):
         for s, n in [(2, 7), (3, 9), (3, 12), (4, 12), (5, 15)]:
@@ -126,22 +122,21 @@ class TestH2:
 
 
 class TestSplitGraph:
+    # K_s v co-K_{n-s} is the link of the last vertex of h1(s, n+1); its radius is threshold_match(s, n+1)
     def test_examples(self):
-        G, rho = split_graph(1, 5)
-        assert G.m == 4 and rho == pytest.approx(2)
-        G, rho = split_graph(0, 4)
-        assert G.m == 0 and rho == 0.0
-        G, rho = split_graph(3, 3)
-        assert G.m == 3 and rho == pytest.approx(2)
+        for s, n, m, rho in ((1, 5, 4, 2), (3, 3, 3, 2)):
+            G, _ = link_graph(h1(s, n + 1).hypergraph, n + 1)
+            assert G.m == m and threshold_match(s, n + 1) == pytest.approx(rho)
+        assert threshold_match(0, 5) == 0.0  # K_0 v co-K_4 has no edge
 
     def test_rho_matches_eigensolver(self):
         for s, n in [(1, 5), (2, 8), (3, 10), (4, 11)]:
-            G, rho = split_graph(s, n)
-            assert spectral_radius(G).value == pytest.approx(rho, abs=TOL)
+            G, _ = link_graph(h1(s, n + 1).hypergraph, n + 1)
+            assert spectral_radius(G).value == pytest.approx(threshold_match(s, n + 1), abs=TOL)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            split_graph(5, 4)
+        with pytest.raises(ValueError):  # K_5 v co-K_{-1}
+            threshold_match(5, 4 + 1)
 
 
 class TestRandom3Graph:
@@ -198,7 +193,7 @@ class TestRandom3Graph:
 
 class TestEnumeration:
     def test_counts(self):
-        seen = set(H.edges for H in enumerate_3graphs(4))
+        seen = set(hypergraph_from_bitmask(4, m).edges for m in range(1 << comb(4, 3)))
         assert len(seen) == 16
 
     def test_bitmask_round_trip(self):
@@ -219,27 +214,26 @@ class TestEnumeration:
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_3graphs(7))
+            search_exhaustive(7, 1, "thm13")
 
 
 class TestComplete:
     def test_expected(self):
-        inst = complete_3graph(6)
-        assert inst.hypergraph.m == 20
-        assert inst.expected.min_link_rho == pytest.approx(4)
-        assert inst.expected.nu == 2 and inst.expected.nu_frac == 2
+        H = complete_3graph(6).hypergraph
+        assert H.m == 20
+        assert min(link_spectra(H).rho) == pytest.approx(4)
+        assert max_matching_3graph(H).size == 2 and fractional_matching(H).value == 2
         assert complete_3graph(0).hypergraph.m == 0
 
 
 class TestClosedFormConsistency:
     def test_split_graph_radii_are_threshold_match_exactly(self):
+        # the certified bracket of the last link of h1(s, n+1) holds the exact threshold
         for n in range(3, 15):
-            for s in range(0, n + 1):
-                assert split_graph(s, n)[1] == threshold_match(s, n + 1)
-            for s in range(1, n - 1):
-                assert h1(s, n).expected.min_link_rho == threshold_match(s, n)
-            for s in (n - 1, n):  # every link complete
-                assert h1(s, n).expected.min_link_rho == float(n - 2)
+            for s in range(1, n + 1):
+                thr = exact_threshold_match(s, n + 1)
+                spectra = link_spectra(h1(s, n + 1).hypergraph, vertices=[n + 1])
+                assert thr.sign(spectra.lower[0]) <= 0 <= thr.sign(spectra.upper[0])
 
     def test_h1_formula_vs_paper_constant_at_boundary(self):
         # at s = n/3 - 1 the closed form collapses to 2n/3 - 2 exactly:

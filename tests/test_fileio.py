@@ -15,8 +15,6 @@ from linkspec.fileio import (
     _read_dimacs,
     _read_dimacs_lines,
     load_instance,
-    parse_graph,
-    parse_h3,
     parse_instance,
     save_instance,
     serialize,
@@ -28,29 +26,29 @@ from linkspec.harness import instance_seed
 
 class TestParsing:
     def test_basic_h3(self):
-        H = parse_h3("p h3 4 1\ne 1 2 3\n")
+        H = parse_instance("p h3 4 1\ne 1 2 3\n")
         assert H == Hypergraph3(4, ((1, 2, 3),))
 
     def test_empty_h3(self):
-        assert parse_h3("p h3 3 0\n") == Hypergraph3(3, ())
+        assert parse_instance("p h3 3 0\n") == Hypergraph3(3, ())
 
     def test_graph_format(self):
-        G = parse_graph("p edge 3 2\ne 1 2\ne 2 3\n")
+        G = parse_instance("p edge 3 2\ne 1 2\ne 2 3\n")
         assert G == Graph2(3, ((1, 2), (2, 3)))
 
     def test_comments_and_blank_lines(self):
         text = "c generated\n\np h3 4 1\nc mid comment\ne 1 2 3\n"
-        assert parse_h3(text).m == 1
+        H = parse_instance(text)
+        assert isinstance(H, Hypergraph3) and H.m == 1
 
     def test_json_sniffing(self):
         assert parse_instance('{"n": 4, "edges": [[1, 2, 3]]}') == Hypergraph3(4, ((1, 2, 3),))
         assert parse_instance('{"n": 3, "edges": [[1, 2]]}') == Graph2(3, ((1, 2),))
 
     def test_wrong_kind_rejected(self):
-        with pytest.raises(ParseError):
-            parse_h3("p edge 3 1\ne 1 2\n")
-        with pytest.raises(ParseError):
-            parse_graph("p h3 4 1\ne 1 2 3\n")
+        # the header decides the kind; a command that needs a 3-graph checks it
+        assert not isinstance(parse_instance("p edge 3 1\ne 1 2\n"), Hypergraph3)
+        assert not isinstance(parse_instance("p h3 4 1\ne 1 2 3\n"), Graph2)
 
 
 class TestParseErrors:

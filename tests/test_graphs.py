@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from linkspec.constructions import complete_3graph, h1, h2, split_graph
+from linkspec.constructions import complete_3graph, h1, h2
 from linkspec.graphs import KEY_MAX_N, Graph2, Hypergraph3, complement, induced, lex_increasing, link_graph
 
 from conftest import rand_3graph, rand_graph
@@ -188,8 +188,8 @@ class TestLinkGraph:
         # the join of K_2 with 6 isolated vertices.
         H = h1(2, 9).hypergraph
         link, _ = link_graph(H, 9)
-        expected, _ = split_graph(2, 8)
-        assert link == expected
+        cross = [(a, b) for a in (1, 2) for b in range(3, 9)]
+        assert link == Graph2.from_edges(8, [(1, 2)] + cross)
 
     def test_no_incident_edge_gives_empty_link(self):
         H = Hypergraph3(5, ((1, 2, 3),))
@@ -275,9 +275,11 @@ class TestConstructions:
             assert G.m + complement(G).m == G.n * (G.n - 1) // 2
 
     def test_join_split_graph(self):
-        # K_2 joined with 4 isolated vertices: the edge 12 and every cross pair
-        cross = [(a, b) for a in (1, 2) for b in range(3, 7)]
-        assert split_graph(2, 6)[0] == Graph2.from_edges(6, [(1, 2)] + cross)
+        # K_s joined with n-s isolated vertices is the link of the last vertex of h1(s, n+1)
+        for n in range(2, 9):
+            for s in range(1, n + 1):
+                join = [(a, b) for a, b in combinations(range(1, n + 1), 2) if a <= s]
+                assert link_graph(h1(s, n + 1).hypergraph, n + 1)[0] == Graph2.from_edges(n, join)
 
     def test_remove_all_hub_vertices_empties_h1(self):
         H, lab = induced(h1(2, 9).hypergraph, range(3, 10))

@@ -8,14 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from linkspec.constructions import (
-    complete_3graph,
-    enumerate_3graphs,
-    h1,
-    h2,
-    random_3graph,
-    split_graph,
-)
+from linkspec.constructions import complete_3graph, h1, h2, hypergraph_from_bitmask, random_3graph
 from linkspec import harness, lp
 from linkspec.graphs import Graph2, Hypergraph3, induced, link_graph
 from linkspec.harness import (
@@ -290,7 +283,7 @@ class TestLift:
         P = shift(h2(3, 12).hypergraph)
         M = lift_link_matching(P, 1)
         assert len(M) == 2
-        M.validate_in(P.shifted)
+        assert P.shifted.has_edges(M.edges).all()
         with pytest.raises(LiftFailure) as err:
             lift_link_matching(P, 2)
         assert err.value.link_nu == 2
@@ -339,7 +332,7 @@ class TestLift:
             H = Hypergraph3(n, tuple(sorted((a, b, c) for a, b in G for c in range(b + 1, n + 1))))
             assert shift_closure_holds(H) and link_graph(H, n)[0].edges == tuple(sorted(G))
             # the lift reads only `shifted`; the cover fields are placeholders
-            P = ShiftedPair(H, FractionalAssignment("cover", (), (), 1), tuple(range(1, n + 1)), H, Fraction(0))
+            P = ShiftedPair(FractionalAssignment("cover", (), (), 1), tuple(range(1, n + 1)), H, Fraction(0))
             with pytest.raises(LiftFailure) as err:
                 lift_link_matching(P, nu)
             assert err.value.link_nu == nu
@@ -357,7 +350,7 @@ class TestLift:
             for s in range((n - 3) // 3 + 1):
                 if nu >= s + 1:
                     M = lift_link_matching(P, s)
-                    M.validate_in(P.shifted)
+                    assert P.shifted.has_edges(M.edges).all()
                     assert len(M) == s + 1
                     lifts += 1
                     continue
@@ -410,6 +403,12 @@ class TestAbsorbingSets:
         with pytest.raises(ValueError):
             absorbing_sets(H, (1, 2, 99))
 
+    def test_scan_past_the_limit_is_refused(self):
+        # C(27, 6) = 296 010 six-sets at n = 30, and C(22, 6) = 74 613 at n = 25
+        assert comb(22, 6) <= harness.MAX_ABSORB_SIX_SETS < comb(27, 6)
+        with pytest.raises(ValueError, match="296010 six-sets"):
+            absorbing_sets(complete_3graph(30).hypergraph, (1, 2, 3))
+
     def test_agrees_with_induced_definition(self):
         # sparse enough that both the 6-set and the 9-set conditions reject some A
         rng = random.Random(58)
@@ -444,7 +443,7 @@ class TestLemma25:
         assert verdict.status == "holds"
 
     def test_split_graph_equality_not_applicable(self):
-        G, _ = split_graph(3, 10)
+        G, _ = link_graph(h1(3, 11).hypergraph, 11)  # K_3 v co-K_7
         assert lemma25_check(G, 3, 3).status == "not_applicable"
 
     def test_random_dense_graph_holds(self):
@@ -464,7 +463,7 @@ class TestSearchExhaustive:
             "total": 0, "condition_holds": 0, "consistent": 0,
             "counterexample": 0, "bug_suspect": 0, "indeterminate": 0, "skipped": 0,
         }
-        for H in enumerate_3graphs(n):
+        for H in (hypergraph_from_bitmask(n, m) for m in range(1 << comb(n, 3))):
             rep = verify_theorem(H, s, mode)
             counts["total"] += 1
             if rep.condition == "holds":

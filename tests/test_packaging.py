@@ -69,8 +69,7 @@ PUBLIC_API = {
     # lp
     "DualityCertificate", "FractionalAssignment", "fractional_matching",
     # constructions
-    "LabeledInstance", "complete_3graph", "enumerate_3graphs", "h1", "h2", "random_3graph",
-    "split_graph",
+    "LabeledInstance", "complete_3graph", "h1", "h2", "random_3graph",
     # harness
     "CheckReport", "ShiftedPair", "absorbing_sets", "check_condition", "lemma25_check",
     "lift_link_matching", "search_exhaustive", "search_random", "shift", "shift_closure_holds",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from linkspec import spectral
-from linkspec.constructions import complete_3graph, h1, random_3graph, split_graph
+from linkspec.constructions import complete_3graph, h1, random_3graph
 from linkspec.graphs import Graph2, Hypergraph3, complement, link_graph
 from linkspec.harness import instance_seed
 from linkspec.matching import max_matching_graph
@@ -58,13 +58,12 @@ class TestSpectralRadius:
     def test_known_values(self):
         assert spectral_radius(complete_graph(4)).value == pytest.approx(3, abs=TOL)
         assert spectral_radius(path(3)).value == pytest.approx(math.sqrt(2), abs=TOL)
-        G, _ = split_graph(2, 8)  # the join of K_2 with 6 isolated vertices
+        G, _ = link_graph(h1(2, 9).hypergraph, 9)  # the join of K_2 with 6 isolated vertices
         assert spectral_radius(G).value == pytest.approx(4, abs=TOL)
 
     def test_report_fields(self):
         rep = spectral_radius(cycle(5))
         assert rep.converged and rep.residual <= rep.tolerance
-        assert rep.component_count == 1
         assert spectral_radius(Graph2(4, ())).value == 0.0
 
     def test_invalid_tolerance(self):
@@ -129,14 +128,13 @@ class TestSpectralRadius:
         rep = spectral_radius(G)
         assert rep.converged
         assert rep.value == pytest.approx(eig_rho(G), abs=1e-8)
-        assert rep.component_count == 2
 
     def test_split_graph_closed_form(self):
         rng = random.Random(23)
         cases = [(s, n) for n in range(2, 41) for s in range(1, n)]
         for s, n in rng.sample(cases, 80):
-            G, expected = split_graph(s, n)
-            assert spectral_radius(G).value == pytest.approx(expected, abs=TOL)
+            G, _ = link_graph(h1(s, n + 1).hypergraph, n + 1)  # K_s v co-K_{n-s}
+            assert spectral_radius(G).value == pytest.approx(threshold_match(s, n + 1), abs=TOL)
 
     def test_edge_monotonicity(self):
         rng = random.Random(24)
@@ -319,7 +317,7 @@ class TestClosedFormBounds:
     def test_hong_values(self):
         assert hong_bound(complete_graph(4)) == pytest.approx(3)
         assert hong_bound(cycle(5)) == pytest.approx(2)
-        G, _ = split_graph(2, 8)
+        G, _ = link_graph(h1(2, 9).hypergraph, 9)
         assert hong_bound(G) == pytest.approx(4)
         assert hong_bound(Graph2(5, ())) == 0.0
 
