@@ -39,11 +39,13 @@ from .matching import DEFAULT_BUDGET, Matching3, find_matching_of_size
 from .spectral import (
     DEFAULT_COMPARISON_SLACK,
     DEFAULT_TOLERANCE,
+    LINK_CHUNK_BYTES,
     LinkSpectra,
     Threshold,
     classify_condition,
     exact_threshold_match,
     link_spectra,
+    link_spectra_block,
     spectral_radius,
     threshold_match,
 )
@@ -585,25 +587,40 @@ def instance_seed(base_seed: int, k: int) -> int:
     return base_seed * STREAM_LENGTH + k
 
 
+def _search_block(n: int) -> int:
+    """Instances per link-spectra block of a random search at n vertices.
+
+    Their n link matrices of n x n take an eighth of LINK_CHUNK_BYTES:
+    building and proving a stack holds about seven arrays of its size
+    (measured at n = 12), so a block's working set stays within the budget.
+    Below 3 vertices a 3-graph has no edge.
+    """
+    return max(1, LINK_CHUNK_BYTES // (64 * max(n, 3) ** 3))
+
+
 def _random_range_worker(
     args: tuple[int, float, int, int, int, int, str, float, int],
 ) -> tuple[dict[str, int], list[CheckReport]]:
     n, p, base_seed, lo, hi, s, mode, eps, budget = args
     counts = _new_counts()
     violations: list[CheckReport] = []
-    for k in range(lo, hi):
-        inst = random_3graph(n, p, instance_seed(base_seed, k))
-        rep = verify_theorem(
-            inst.hypergraph,
-            s,
-            mode,
-            budget=budget,
-            eps=eps,
-            instance_id=f"random(n={n},p={p},seed={base_seed})#{k}",
-        )
-        _tally(counts, rep)
-        if rep.verdict in ("counterexample", "bug_suspect"):
-            violations.append(rep)
+    block = _search_block(n)
+    for start in range(lo, hi, block):
+        ks = range(start, min(start + block, hi))
+        Hs = [random_3graph(n, p, instance_seed(base_seed, k)).hypergraph for k in ks]
+        for k, H, spectra in zip(ks, Hs, link_spectra_block(Hs)):
+            rep = verify_theorem(
+                H,
+                s,
+                mode,
+                budget=budget,
+                eps=eps,
+                link_rho=spectra,
+                instance_id=f"random(n={n},p={p},seed={base_seed})#{k}",
+            )
+            _tally(counts, rep)
+            if rep.verdict in ("counterexample", "bug_suspect"):
+                violations.append(rep)
     return counts, violations
 
 
@@ -620,8 +637,12 @@ def search_random(
 ) -> SearchSummary:
     """Verify `samples` seeded random instances; deterministic for fixed params.
 
-    With threads > 1 the sample range is partitioned across worker
-    processes; each instance's seed depends only on (seed, k), and the
+    A range of samples is taken in blocks of :func:`_search_block` seeds:
+    each instance is generated from its own seed, the block's link spectra
+    are computed in one :func:`link_spectra_block` pass, and each instance
+    is verified with its own.  With threads > 1 the sample range is
+    partitioned across worker processes; each instance's seed depends only
+    on (seed, k), its link spectra do not depend on its block, and the
     aggregation is order-independent, so parallel and sequential runs
     produce identical summaries.
     """

@@ -69,20 +69,32 @@ def max_matching_graph(G: Graph2) -> tuple[int, list[Pair]]:
 
 
 def _greedy_hitting_bound(edge_masks: list[int], n: int) -> int:
-    """Size of a greedy hitting set of the given edges: an upper bound on nu."""
-    remaining = list(edge_masks)
+    """Size of a greedy hitting set of the given edges: an upper bound on nu.
+
+    Each round takes the vertex on most remaining edges, the lowest on a
+    tie, and drops the edges it hits.  The vertex degrees are counted once
+    and lowered as edges are dropped.
+    """
+    counts = [0] * n
+    for m in edge_masks:
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1] += 1
+            m ^= low
+    remaining = edge_masks
     size = 0
     while remaining:
-        counts = [0] * n
+        bit = 1 << counts.index(max(counts))
+        kept = []
         for m in remaining:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low.bit_length() - 1] += 1
-                mm ^= low
-        v = max(range(n), key=lambda i: counts[i])
-        bit = 1 << v
-        remaining = [m for m in remaining if not m & bit]
+            if m & bit:
+                while m:
+                    low = m & -m
+                    counts[low.bit_length() - 1] -= 1
+                    m ^= low
+            else:
+                kept.append(m)
+        remaining = kept
         size += 1
     return size
 

@@ -18,21 +18,27 @@ so no rounded float enters a certified decision.
   whenever rho(A) < t, so neither needs a component split; both come from
   the one eigendecomposition.
 
-:func:`link_spectra` runs this for every vertex link of a 3-graph at once:
-one sort of the edge array's incidences by vertex feeds dense 0/1 link
+:func:`link_spectra_block` runs this for every vertex link of a block of
+3-graphs at once, and :func:`link_spectra` for the links of one: one sort
+of the concatenated edge arrays' incidences by vertex feeds dense 0/1 link
 matrices a chunk of vertices at a time.  A link keeps only the vertices
 that lie on its edges, which leaves its radius unchanged and keeps sparse
-links small.  Links of at least POWER_MIN_VERTICES vertices and at least
-as many edges as vertices - 1 (the fewest a connected link has) take the
-power route; the ones it cannot close within tolerance, and all other
-links, take one batched eigensolve per chunk.  :func:`spectral_radius` of a single
-graph always takes the eigensolve route.
+links small; it is padded to the largest link of its chunk, and the links
+of equal padded size, from any chunk or instance of the block, share one
+stack of at most LINK_CHUNK_BYTES.  A link's result depends only on the
+link and its padded size, never on its stack.  Links of at least
+POWER_MIN_VERTICES vertices and at least as many edges as vertices - 1
+(the fewest a connected link has) take the power route; the ones it
+cannot close within tolerance, and all other links, take one batched
+eigensolve per stack.  :func:`spectral_radius` of a single graph always
+takes the eigensolve route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +48,7 @@ from .graphs import Graph2, Hypergraph3, complement
 DEFAULT_TOLERANCE = 1e-10
 #: slack used by callers to classify strict inequalities robustly
 DEFAULT_COMPARISON_SLACK = 1e-9
-#: bytes of dense float64 link matrices held at once by link_spectra
+#: bytes of dense float64 link matrices in one chunk, or one stack, of link_spectra
 LINK_CHUNK_BYTES = 1 << 20
 #: links with at least this many vertices try power steps before an eigensolve
 POWER_MIN_VERTICES = 24
@@ -145,10 +151,10 @@ def _ratio_bounds(num: np.ndarray, den: np.ndarray, lowest: bool) -> np.ndarray:
         r = num / den
     r[den == 0] = np.inf if lowest else -np.inf
     q = r.min(axis=1) * (1 - 2.0**-48) if lowest else r.max(axis=1) * (1 + 2.0**-48)
+    # each q as the rows (numerator, denominator): numpy builds this faster than nested lists
     ratios = [x.as_integer_ratio() if math.isfinite(x) else (1, 0) for x in q.tolist()]
-    p = np.array([[a] for a, _ in ratios], dtype=object)
-    d = np.array([[b] for _, b in ratios], dtype=object)
-    lhs, rhs = num.astype(object) * d, den.astype(object) * p
+    pd = np.array(ratios, dtype=object).reshape(-1, 2)
+    lhs, rhs = num.astype(object) * pd[:, 1:], den.astype(object) * pd[:, :1]
     ok = ((lhs >= rhs) if lowest else (lhs <= rhs)).all(axis=1) & np.isfinite(q)
     return np.where(ok, q, 0.0 if lowest else np.inf)
 
@@ -311,57 +317,164 @@ def link_spectra(
 ) -> LinkSpectra:
     """Certified spectral radii of the links of `vertices` (default: all of H).
 
-    The links are built a chunk at a time from one sort of the edge array's
-    incidences by vertex.  :func:`_link_radii` sends a link of at least
-    POWER_MIN_VERTICES vertices to power steps first; the links they cannot
-    close, and every other link, take one batched eigensolve per chunk.
-    Either way the bracket is proven from an integer Collatz-Wielandt
-    vector.  Repeated vertices are rejected.
+    A block of one for :func:`_block_spectra`, which builds the links a
+    chunk at a time from one sort of the edge array's incidences by vertex
+    and solves the links of equal padded size together.  :func:`_link_radii`
+    sends a link of at least POWER_MIN_VERTICES vertices to power steps
+    first; the links they cannot close, and every other link, take one
+    batched eigensolve per stack.  Either way the bracket is proven from an
+    integer Collatz-Wielandt vector.  Repeated vertices are rejected.
     """
     _check_tolerance(tolerance)
-    n = H.n
-    vs = tuple(range(1, n + 1)) if vertices is None else tuple(vertices)
+    vs = tuple(range(1, H.n + 1)) if vertices is None else tuple(vertices)
     seen: set[int] = set()
     for v in vs:
         H._check_vertex(v)
         if v in seen:
             raise ValueError(f"vertex {v} repeated in vertices")
         seen.add(v)
-    flat = (H.edge_array - 1).ravel()  # incidence j is vertex flat[j] of edge j // 3
-    order = np.argsort(flat)  # incidences grouped by vertex; the order within a group is immaterial
-    degree = np.bincount(flat, minlength=n)
+    return _block_spectra([H], [vs], tolerance)[0]
+
+
+def link_spectra_block(
+    Hs: Sequence[Hypergraph3], tolerance: float = DEFAULT_TOLERANCE
+) -> list[LinkSpectra]:
+    """The spectra of all links of each 3-graph in Hs, one :class:`LinkSpectra` each.
+
+    Entry i equals ``link_spectra(Hs[i], tolerance)``: a link's radius and
+    bracket depend only on the link and its padded size, never on the links
+    it is stacked with.
+    """
+    _check_tolerance(tolerance)
+    return _block_spectra(Hs, [tuple(range(1, H.n + 1)) for H in Hs], tolerance)
+
+
+def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The concatenation of one or more 1-d arrays, without a copy of a single one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _block_spectra(
+    Hs: Sequence[Hypergraph3], vss: Sequence[tuple[int, ...]], tolerance: float
+) -> list[LinkSpectra]:
+    """Link spectra of the vertices vss[i] of Hs[i], for every i, in one pass.
+
+    The instances' vertices are numbered one after another, so that one
+    sort of the concatenated edge array's incidences groups the edges of
+    every link in the block.  Each instance's vertices are cut into chunks
+    of as many links as fit LINK_CHUNK_BYTES at n x n, and a link keeps
+    only the vertices that lie on its edges, padded to the largest link in
+    its chunk.  Runs of whole chunks within that budget at n x n are built
+    at once.  The links of equal padded size are stacked, across runs too,
+    up to LINK_CHUNK_BYTES, and each stack goes through :func:`_link_radii`
+    once.
+    """
+    if not Hs:
+        return []
+    ns = [H.n for H in Hs]
+    offsets = [0, *accumulate(ns)]
+    flat = _join([(H.edge_array + (o - 1)).ravel() for H, o in zip(Hs, offsets)])
+    # incidence j is vertex flat[j] (numbered across the block, from 0) of edge j // 3
+    # incidences grouped by vertex (the order within a group is immaterial); below
+    # 2^16 vertices a stable sort of 16-bit labels is a radix sort, the fastest
+    order = np.argsort(flat.astype(np.uint16) if offsets[-1] <= 1 << 16 else flat, kind="stable")
+    degree = np.bincount(flat, minlength=offsets[-1])
     first = np.cumsum(degree) - degree  # where each vertex's group starts in `order`
-    per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
-    rho: list[float] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    for start in range(0, len(vs), per_chunk):
-        chunk = np.array(vs[start : start + per_chunk], dtype=np.intp) - 1
-        count = degree[chunk]
-        k = np.repeat(np.arange(len(chunk)), count)
-        at = np.arange(len(k)) + np.repeat(first[chunk] - (np.cumsum(count) - count), count)
-        j = order[at]
+    links = _join([np.asarray(vs, dtype=np.intp) + (o - 1) for vs, o in zip(vss, offsets)])
+    count = degree[links]  # a link has one edge per edge at its vertex
+    if len(Hs) > 1:  # the block number of each link's instance's vertex 1
+        base = np.repeat(offsets[:-1], [len(vs) for vs in vss])
+    rho, lower, upper = np.zeros(len(links)), np.zeros(len(links)), np.zeros(len(links))
+    stacks: dict[int, list[tuple[np.ndarray, ...]]] = {}  # padded size -> the parts of one stack
+
+    def solve(size: int) -> None:
+        parts = stacks.pop(size)
+        idx, sizes, edges, k, ra, rb = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        A = np.zeros(len(idx) * size * size)
+        A[(k * size + ra) * size + rb] = A[(k * size + rb) * size + ra] = 1.0
+        A = A.reshape(len(idx), size, size)
+        rho[idx], lower[idx], upper[idx] = _link_radii(A, sizes, edges, tolerance)
+
+    def stack(size: int, idx: np.ndarray, sizes: np.ndarray, edges: np.ndarray, *entries: np.ndarray) -> None:
+        """Add the links `idx` of one padded size, with their entries (link k, row, column)."""
+        # a run adds at most cap links of one size: their chunks' n x n matrices fit the budget
+        cap = max(1, LINK_CHUNK_BYTES // (8 * size * size))
+        held = sum(len(part[0]) for part in stacks.get(size, ()))
+        if held and held + len(idx) > cap:
+            solve(size)
+            held = 0
+        k, ra, rb = entries
+        stacks.setdefault(size, []).append((idx, sizes, edges, k + held if held else k, ra, rb))
+        if held + len(idx) == cap:
+            solve(size)
+
+    def build(starts: list[int], hi: int, width: int) -> list[tuple]:
+        """The links of the chunks that start at `starts` and end at link `hi`, by padded size.
+
+        Returned, not stacked here, so that no array of this build is alive
+        while a stack is solved.
+        """
+        lo = starts[0]
+        cnt = count[lo:hi]
+        k = np.repeat(np.arange(hi - lo), cnt)
+        j = order[np.arange(len(k)) + np.repeat(first[links[lo:hi]] - (np.cumsum(cnt) - cnt), cnt)]
         row = j - j % 3
         # the other two vertices of the edge: positions (1, 2), (0, 2) or (0, 1)
         a = flat[row + (j == row)]
         b = flat[row + 2 - (j == row + 2)]
+        del j, row
+        if len(Hs) > 1:  # back to each instance's own numbering
+            own = np.repeat(base[lo:hi], cnt)
+            a -= own
+            b -= own
+            del own
         # isolated vertices add only zero eigenvalues, so each link keeps just
-        # its other vertices, in order (padded to the chunk's largest link)
-        present = np.zeros((len(chunk), n), dtype=bool)
+        # its other vertices, in order (padded to its chunk's largest link)
+        present = np.zeros((hi - lo, width), dtype=bool)
         present[k, a] = present[k, b] = True
         sizes = present.sum(axis=1)
-        size = max(1, int(sizes.max()))
         rank = (np.cumsum(present, axis=1) - 1).ravel()
-        ra, rb = rank[k * n + a], rank[k * n + b]
-        A = np.zeros(len(chunk) * size * size)
-        A[(k * size + ra) * size + rb] = A[(k * size + rb) * size + ra] = 1.0
-        A = A.reshape(len(chunk), size, size)
-        r, lo, hi = _link_radii(A, sizes, count, tolerance)  # a link has one edge per edge at its vertex
-        rho += r.tolist()
-        lower += lo.tolist()
-        upper += hi.tolist()
-    converged = tuple(_within(*b, tolerance) for b in zip(rho, lower, upper))
-    return LinkSpectra(vs, tuple(rho), tuple(lower), tuple(upper), converged, tolerance)
+        ra, rb = rank[k * width + a], rank[k * width + b]
+        if len(starts) == 1:
+            return [(max(1, int(sizes.max())), np.arange(lo, hi), sizes, cnt, k, ra, rb)]
+        rel = [s - lo for s in starts]
+        padded = np.repeat(np.maximum(np.maximum.reduceat(sizes, rel), 1), np.diff([*rel, hi - lo]))
+        out = []
+        for size in sorted(set(padded.tolist())):  # np.unique would load numpy.ma, 1.8 MB
+            mine = padded == size
+            inc = mine[k]
+            k_mine = (np.cumsum(mine) - 1)[k[inc]]
+            out.append((size, lo + np.flatnonzero(mine), sizes[mine], cnt[mine], k_mine, ra[inc], rb[inc]))
+        return out
+
+    run: list[int] = []  # the first links of the chunks built together
+    held = width = at = 0
+    for n, vs in zip(ns, vss):
+        per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
+        for lo in range(at, at + len(vs), per_chunk):
+            cost = 8 * n * n * min(per_chunk, at + len(vs) - lo)
+            if run and held + cost > LINK_CHUNK_BYTES:
+                for part in build(run, lo, width):
+                    stack(*part)
+                run, held, width = [], 0, 0
+            run.append(lo)
+            held, width = held + cost, max(width, n)
+        at += len(vs)
+    if run:
+        for part in build(run, at, width):
+            stack(*part)
+    for size in list(stacks):
+        solve(size)
+
+    bounds = list(zip(rho.tolist(), lower.tolist(), upper.tolist()))
+    converged = [_within(*b, tolerance) for b in bounds]
+    out = []
+    at = 0
+    for vs in vss:
+        r, lo, hi = zip(*bounds[at : at + len(vs)]) if vs else ((), (), ())
+        out.append(LinkSpectra(vs, r, lo, hi, tuple(converged[at : at + len(vs)]), tolerance))
+        at += len(vs)
+    return out
 
 
 def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> SpectralReport:

@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive quantities with methods different
 from the library's (a plain dense eigenvalue solve and power iteration vs
 the certified eigensolver brackets, exhaustive recursion vs
-branch-and-bound / blossom, rational-tableau simplex vs the
+branch-and-bound / blossom, degrees recounted every round vs
+kept and lowered in the greedy hitting set, rational-tableau simplex vs the
 integer-pivoting one, dominance scan vs elementary moves, a list
 comprehension over triples vs the masked lex-triple array), so agreement
 between the two routes is meaningful.
@@ -87,6 +88,25 @@ def uncertifiable_links(monkeypatch: pytest.MonkeyPatch, vertices: set[int], n: 
     monkeypatch.setattr(spectral, "_eigh", eigh)
 
 
+def ref_first_bad_row(n: int, E: np.ndarray) -> str | None:
+    """The message for the first increasing-, range- or repeat-faulty row of E, or None.
+
+    Repeats are found as exactly equal rows, by ``np.unique`` over the rows.
+    """
+    a, b, c = E.T
+    unordered = ~((a < b) & (b < c))
+    outside = (a < 1) | (c > n)
+    _, first, inverse = np.unique(E, axis=0, return_index=True, return_inverse=True)
+    bad = unordered | outside | (first[inverse.reshape(-1)] != np.arange(len(E)))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    e = tuple(E[i].tolist())
+    if unordered[i]:
+        return f"edge {e} is not an increasing triple"
+    return f"edge {e} out of range 1..{n}" if outside[i] else f"duplicate edge {e}"
+
+
 # ---------------------------------------------------------------------------
 # Matching oracles: plain exhaustive recursion over edge subsets.
 
@@ -119,6 +139,21 @@ def brute_nu_3graph(H: Hypergraph3) -> int:
         return best
 
     return rec(0, frozenset())
+
+
+def ref_greedy_hitting_bound(edge_masks: list[int], n: int) -> int:
+    """The greedy hitting set size, recounting the vertex degrees every round.
+
+    Each round takes the vertex on most remaining edges, the lowest on a tie.
+    """
+    remaining = list(edge_masks)
+    size = 0
+    while remaining:
+        counts = [sum(m >> v & 1 for m in remaining) for v in range(n)]
+        v = max(range(n), key=lambda i: counts[i])
+        remaining = [m for m in remaining if not m >> v & 1]
+        size += 1
+    return size
 
 
 # ---------------------------------------------------------------------------

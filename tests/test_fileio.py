@@ -4,6 +4,7 @@ import json
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,18 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_instance(text)
         assert fragment in str(err.value)
+
+    def test_unsorted_file_with_a_repeat_and_an_out_of_range_edge(self):
+        # the array diagnosis runs on the rows as read and again after the sort;
+        # both reject, and the line reader names the first bad line
+        text = "p h3 5 4\ne 2 3 4\ne 1 2 3\ne 2 3 4\ne 1 2 6\n"
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3, 4\)$"):
+            Hypergraph3(5, np.array([[2, 3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 6]]))
+        with pytest.raises(ValueError, match=r"^edge \(1, 2, 6\) out of range 1..5$"):
+            Hypergraph3(5, np.array([[1, 2, 3], [1, 2, 6], [2, 3, 4], [2, 3, 4]]))
+        with pytest.raises(ParseError, match="duplicate edge") as err:
+            parse_instance(text)
+        assert err.value.line == 4
 
     def test_line_numbers_reported(self):
         with pytest.raises(ParseError) as err:

@@ -10,7 +10,7 @@ import pytest
 from linkspec.constructions import complete_3graph, h1, h2
 from linkspec.graphs import KEY_MAX_N, Graph2, Hypergraph3, complement, induced, lex_increasing, link_graph
 
-from conftest import rand_3graph, rand_graph
+from conftest import rand_3graph, rand_graph, ref_first_bad_row
 
 
 def complete_graph(n: int) -> Graph2:
@@ -69,6 +69,40 @@ class TestValidation:
             with pytest.raises(ValueError) as err:  # the same from an array
                 Hypergraph3(n, np.array(edges, dtype=np.int64).reshape(-1, 3))
             assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            # at n = 9 the key of (1, 2, 14) is that of (1, 3, 4): the out-of-range row is named
+            (((1, 3, 4), (1, 2, 14)), "edge (1, 2, 14) out of range 1..9"),
+            (((1, 2, 14), (1, 3, 4)), "edge (1, 2, 14) out of range 1..9"),
+            (((1, 3, 4), (4, 2, 1)), "edge (4, 2, 1) is not an increasing triple"),
+            (((2, 3, 4), (1, 2, 3), (2, 3, 4), (1, 2, 10)), "duplicate edge (2, 3, 4)"),
+            (((2, 3, 4), (1, 2, 10), (1, 2, 3), (2, 3, 4)), "edge (1, 2, 10) out of range 1..9"),
+        ],
+    )
+    def test_repeats_by_row_keys(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            Hypergraph3(9, np.array(edges))
+        assert str(err.value) == message
+
+    def test_first_bad_row_agrees_with_an_exact_repeat_test(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            rows = [sorted(rng.sample(range(1, n + 3), 3)) for _ in range(rng.randint(1, 12))]
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]  # repeats
+            # entries above n, whose keys may equal an in-range row's, or below 0
+            for _ in range(2):
+                rows.append([rng.randint(-1, 2), rng.randint(0, n), rng.randint(n + 1, (n + 1) ** 2)])
+            rng.shuffle(rows)
+            E = np.array(rows, dtype=np.intp)
+            expected = ref_first_bad_row(n, E)
+            if expected is None:
+                continue
+            with pytest.raises(ValueError) as err:
+                Hypergraph3(n, E)
+            assert str(err.value) == expected
 
     def test_from_edges_canonicalizes(self):
         G = Graph2.from_edges(3, [(2, 1), (3, 1), (1, 2)])

@@ -503,6 +503,33 @@ class TestSearchRandom:
         assert a.violations == b.violations == c.violations
         assert a.counts["total"] == 40
 
+    def test_blocks_give_the_reports_of_single_instances(self, monkeypatch):
+        n, p, seed, s = 12, 0.8, 17, 3
+        samples = 2 * harness._search_block(n) + 3
+        reports = []
+        tally = harness._tally
+        monkeypatch.setattr(harness, "_tally", lambda counts, rep: (reports.append(rep), tally(counts, rep)))
+        search_random(n, p, samples, seed, s, "conj_pm")
+        alone = [
+            verify_theorem(
+                random_3graph(n, p, instance_seed(seed, k)).hypergraph,
+                s,
+                "conj_pm",
+                instance_id=f"random(n={n},p={p},seed={seed})#{k}",
+            )
+            for k in range(samples)
+        ]
+        assert reports == alone
+
+    def test_thread_invariant_across_block_boundaries(self):
+        block = harness._search_block(12)
+        samples = 4 * block + 5  # three ranges of 14, 14 and 13 at block 9
+        assert block > 1 and samples % block and (-(-samples // 3)) % block
+        a = search_random(12, 0.8, samples, 23, 3, "conj_pm")
+        c = search_random(12, 0.8, samples, 23, 3, "conj_pm", threads=3)
+        assert a.counts == c.counts and a.violations == c.violations
+        assert a.counts["total"] == samples
+
     def test_zero_probability_all_skipped(self):
         summary = search_random(6, 0.0, 10, 0, 1, "thm13")
         assert summary.counts["skipped"] == 10

@@ -5,10 +5,17 @@ import random
 import pytest
 
 from linkspec.constructions import complete_3graph, h1, h2
+from linkspec import matching
 from linkspec.graphs import Graph2, Hypergraph3, link_graph
-from linkspec.matching import Matching3, find_matching_of_size, max_matching_3graph, max_matching_graph
+from linkspec.matching import (
+    Matching3,
+    _greedy_hitting_bound,
+    find_matching_of_size,
+    max_matching_3graph,
+    max_matching_graph,
+)
 
-from conftest import brute_nu_3graph, brute_nu_graph, rand_3graph, rand_graph
+from conftest import brute_nu_3graph, brute_nu_graph, rand_3graph, rand_graph, ref_greedy_hitting_bound
 
 
 def petersen() -> Graph2:
@@ -130,3 +137,22 @@ class TestHittingSetBound:
         # a set meeting every edge bounds nu by its size: [3] for h1(3, 12), [5] for h2(3, 12)
         assert (h1(3, 12).hypergraph.edge_array[:, 0] <= 3).all()
         assert (h2(3, 12).hypergraph.edge_array[:, 0] <= 5).all()
+
+    def test_kept_degrees_agree_with_the_rescan(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            width = rng.choice((3, 3, rng.randint(1, n)))  # 3-graph masks, and masks of any width
+            masks = [
+                sum(1 << v for v in rng.sample(range(n), min(width, n))) for _ in range(rng.randint(0, 60))
+            ]
+            assert _greedy_hitting_bound(masks, n) == ref_greedy_hitting_bound(masks, n)
+
+    def test_search_is_unchanged(self, monkeypatch):
+        # same bound at every node, so the same node counts and witnesses as with the rescan
+        rng = random.Random(48)
+        instances = [rand_3graph(rng.randint(6, 13), rng.uniform(0.1, 0.7), rng) for _ in range(40)]
+        kept = [max_matching_3graph(H, lp_root_bound=False) for H in instances]
+        monkeypatch.setattr(matching, "_greedy_hitting_bound", ref_greedy_hitting_bound)
+        assert [max_matching_3graph(H, lp_root_bound=False) for H in instances] == kept
+        assert sum(r.nodes for r in kept) > 0

@@ -239,6 +239,91 @@ class TestLinkSpectra:
         assert cond == "indeterminate"
 
 
+class TestLinkSpectraBlock:
+    @staticmethod
+    def mixed_block() -> list[Hypergraph3]:
+        """Dense, sparse (varied padding), power-route and n = 100 instances, and tiny ones."""
+        specs = [(12, 0.8, 1), (14, 0.15, 2), (9, 0.5, 3), (26, 0.05, 4), (30, 0.5, 5), (12, 0.8, 6)]
+        Hs = [random_3graph(n, p, seed).hypergraph for n, p, seed in specs]
+        Hs.insert(2, random_3graph(100, 0.7, instance_seed(20260925, 0)).hypergraph)  # 13-link chunks
+        tiny = [Hypergraph3(0, ()), Hypergraph3(1, ()), Hypergraph3(5, ())]
+        return Hs + tiny + [complete_3graph(30).hypergraph]
+
+    def test_each_entry_is_the_instance_alone(self):
+        Hs = self.mixed_block()
+        assert spectral.LINK_CHUNK_BYTES // (8 * 100 * 100) == 13
+        block = spectral.link_spectra_block(Hs)
+        assert len(block) == len(Hs)
+        for H, spectra in zip(Hs, block):
+            assert spectra == link_spectra(H)
+        assert spectral.link_spectra_block([]) == []
+
+    def test_vertex_subsets_in_a_block(self):
+        Hs = self.mixed_block()
+        rng = random.Random(71)
+        vss = [tuple(rng.sample(range(1, H.n + 1), rng.randint(0, H.n))) for H in Hs]
+        block = spectral._block_spectra(Hs, vss, spectral.DEFAULT_TOLERANCE)
+        for H, vs, spectra in zip(Hs, vss, block):
+            assert spectra == link_spectra(H, vertices=vs)
+
+    def test_small_budget_splits_runs_and_stacks(self, monkeypatch):
+        # a budget of three 12-vertex links: many runs, and stacks solved as they fill
+        monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 3 * 8 * 12 * 12)
+        specs = [(12, 0.3, 1), (9, 0.5, 2), (12, 0.1, 3), (7, 0.6, 4)]
+        Hs = [random_3graph(n, p, seed).hypergraph for n, p, seed in specs]
+        for H, spectra in zip(Hs, spectral.link_spectra_block(Hs)):
+            assert spectra == link_spectra(H)
+
+    def test_equal_padded_sizes_share_a_stack(self, monkeypatch):
+        stacks = []
+        real = spectral._link_radii
+
+        def link_radii(A, sizes, edges, tolerance):
+            stacks.append(A.shape)
+            return real(A, sizes, edges, tolerance)
+
+        monkeypatch.setattr(spectral, "_link_radii", link_radii)
+        Hs = [random_3graph(12, 0.8, seed).hypergraph for seed in range(20)]
+        spectral.link_spectra_block(Hs)
+        padded = {shape[1] for shape in stacks}
+        assert len(stacks) == len(padded) and sum(shape[0] for shape in stacks) == 20 * 12
+        # one link per chunk at n = 300: the links of each padded size are solved together
+        stacks.clear()
+        H = random_3graph(300, 0.002, 3).hypergraph
+        assert spectral.LINK_CHUNK_BYTES // (8 * 300 * 300) == 1
+        spectral.link_spectra(H)
+        assert sum(shape[0] for shape in stacks) == 300
+        for size in {shape[1] for shape in stacks}:  # as few stacks as fit the budget
+            cap = spectral.LINK_CHUNK_BYTES // (8 * size * size)
+            counts = [k for k, m, _ in stacks if m == size]
+            assert len(counts) == -(-sum(counts) // cap) and max(counts) <= cap
+        assert len(stacks) < 100
+
+    def test_links_are_padded_to_the_largest_of_their_chunk(self, monkeypatch):
+        stacks = []
+        real = spectral._link_radii
+
+        def link_radii(A, sizes, edges, tolerance):
+            stacks.append((A.shape, sizes.tolist()))
+            return real(A, sizes, edges, tolerance)
+
+        monkeypatch.setattr(spectral, "_link_radii", link_radii)
+        H = random_3graph(14, 0.15, 2).hypergraph  # one chunk of 14 links of varied sizes
+        sizes = [len({u for e in link_graph(H, v)[0].edges for u in e}) for v in range(1, 15)]
+        assert len(set(sizes)) > 1
+        spectral.link_spectra_block([H, H])
+        assert stacks == [((28, max(sizes), max(sizes)), sizes + sizes)]
+        monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 8 * 14 * 14)  # one link per chunk
+        stacks.clear()
+        link_spectra(H)
+        assert sorted(size for _, group in stacks for size in group) == sorted(sizes)
+        assert all(shape[1:] == (size, size) for shape, group in stacks for size in group)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            spectral.link_spectra_block([complete_3graph(5).hypergraph], tolerance=0.0)
+
+
 class TestPowerRoute:
     def test_complete_links(self, monkeypatch):
         no_eigensolve(monkeypatch)
