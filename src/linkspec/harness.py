@@ -593,7 +593,8 @@ def _search_block(n: int) -> int:
     Their n link matrices of n x n take an eighth of LINK_CHUNK_BYTES:
     building and proving a stack holds about seven arrays of its size
     (measured at n = 12), so a block's working set stays within the budget.
-    Below 3 vertices a 3-graph has no edge.
+    n counts as at least 3, so that blocks of edgeless instances (n < 3)
+    stay as small as at n = 3.
     """
     return max(1, LINK_CHUNK_BYTES // (64 * max(n, 3) ** 3))
 

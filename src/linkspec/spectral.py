@@ -448,17 +448,17 @@ def _block_spectra(
         return out
 
     run: list[int] = []  # the first links of the chunks built together
-    held = width = at = 0
+    run_bytes = width = at = 0
     for n, vs in zip(ns, vss):
         per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
         for lo in range(at, at + len(vs), per_chunk):
             cost = 8 * n * n * min(per_chunk, at + len(vs) - lo)
-            if run and held + cost > LINK_CHUNK_BYTES:
+            if run and run_bytes + cost > LINK_CHUNK_BYTES:
                 for part in build(run, lo, width):
                     stack(*part)
-                run, held, width = [], 0, 0
+                run, run_bytes, width = [], 0, 0
             run.append(lo)
-            held, width = held + cost, max(width, n)
+            run_bytes, width = run_bytes + cost, max(width, n)
         at += len(vs)
     if run:
         for part in build(run, at, width):
