@@ -349,11 +349,6 @@ def link_spectra_block(
     return _block_spectra(Hs, [tuple(range(1, H.n + 1)) for H in Hs], tolerance)
 
 
-def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The concatenation of one or more 1-d arrays, without a copy of a single one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _block_spectra(
     Hs: Sequence[Hypergraph3], vss: Sequence[tuple[int, ...]], tolerance: float
 ) -> list[LinkSpectra]:
@@ -373,79 +368,74 @@ def _block_spectra(
         return []
     ns = [H.n for H in Hs]
     offsets = [0, *accumulate(ns)]
-    flat = _join([(H.edge_array + (o - 1)).ravel() for H, o in zip(Hs, offsets)])
     # incidence j is vertex flat[j] (numbered across the block, from 0) of edge j // 3
-    # incidences grouped by vertex (the order within a group is immaterial); below
-    # 2^16 vertices a stable sort of 16-bit labels is a radix sort, the fastest
-    order = np.argsort(flat.astype(np.uint16) if offsets[-1] <= 1 << 16 else flat, kind="stable")
+    flat = np.concatenate([(H.edge_array + (o - 1)).ravel() for H, o in zip(Hs, offsets)])
+    order = np.argsort(flat)  # incidences grouped by vertex; the order within a group is immaterial
     degree = np.bincount(flat, minlength=offsets[-1])
     first = np.cumsum(degree) - degree  # where each vertex's group starts in `order`
-    links = _join([np.asarray(vs, dtype=np.intp) + (o - 1) for vs, o in zip(vss, offsets)])
+    links = np.concatenate([np.asarray(vs, dtype=np.intp) + (o - 1) for vs, o in zip(vss, offsets)])
     count = degree[links]  # a link has one edge per edge at its vertex
-    if len(Hs) > 1:  # the block number of each link's instance's vertex 1
-        base = np.repeat(offsets[:-1], [len(vs) for vs in vss])
+    base = np.repeat(offsets[:-1], [len(vs) for vs in vss])  # the block number of each link's vertex 1
     rho, lower, upper = np.zeros(len(links)), np.zeros(len(links)), np.zeros(len(links))
     stacks: dict[int, list[tuple[np.ndarray, ...]]] = {}  # padded size -> the parts of one stack
 
     def solve(size: int) -> None:
-        parts = stacks.pop(size)
-        idx, sizes, edges, k, ra, rb = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        idx, sizes, edges, ra, rb = map(np.concatenate, zip(*stacks.pop(size)))
+        k = np.repeat(np.arange(len(idx)) * size, edges)
         A = np.zeros(len(idx) * size * size)
-        A[(k * size + ra) * size + rb] = A[(k * size + rb) * size + ra] = 1.0
-        A = A.reshape(len(idx), size, size)
-        rho[idx], lower[idx], upper[idx] = _link_radii(A, sizes, edges, tolerance)
+        A[(k + ra) * size + rb] = A[(k + rb) * size + ra] = 1.0
+        rho[idx], lower[idx], upper[idx] = _link_radii(A.reshape(-1, size, size), sizes, edges, tolerance)
 
-    def stack(size: int, idx: np.ndarray, sizes: np.ndarray, edges: np.ndarray, *entries: np.ndarray) -> None:
-        """Add the links `idx` of one padded size, with their entries (link k, row, column)."""
-        # a run adds at most cap links of one size: their chunks' n x n matrices fit the budget
+    def stack(size: int, idx: np.ndarray, *rest: np.ndarray) -> None:
+        """Add the links `idx` of one chunk, padded to `size`, with their sizes, edges and entries."""
+        # a chunk's links fit the budget at n x n, so also at size x size
         cap = max(1, LINK_CHUNK_BYTES // (8 * size * size))
         held = sum(len(part[0]) for part in stacks.get(size, ()))
-        if held and held + len(idx) > cap:
+        if held + len(idx) > cap:  # never for the first chunk, which fits alone
             solve(size)
             held = 0
-        k, ra, rb = entries
-        stacks.setdefault(size, []).append((idx, sizes, edges, k + held if held else k, ra, rb))
+        stacks.setdefault(size, []).append((idx, *rest))
         if held + len(idx) == cap:
             solve(size)
 
     def build(starts: list[int], hi: int, width: int) -> list[tuple]:
-        """The links of the chunks that start at `starts` and end at link `hi`, by padded size.
+        """The links of the chunks that start at `starts` and end at link `hi`, a chunk each.
 
-        Returned, not stacked here, so that no array of this build is alive
-        while a stack is solved.
+        Each chunk comes with its padded size, its links' block indices,
+        sizes and edge counts, and the (row, column) entries of its links
+        in link order.  Returned, not stacked here, so that no array of
+        this build but those entries is alive while a stack is solved.
         """
         lo = starts[0]
         cnt = count[lo:hi]
-        k = np.repeat(np.arange(hi - lo), cnt)
-        j = order[np.arange(len(k)) + np.repeat(first[links[lo:hi]] - (np.cumsum(cnt) - cnt), cnt)]
+        ends = np.cumsum(cnt)
+        begins = ends - cnt  # where each link's incidences begin
+        j = order[np.arange(ends[-1]) + np.repeat(first[links[lo:hi]] - begins, cnt)]
         row = j - j % 3
         # the other two vertices of the edge: positions (1, 2), (0, 2) or (0, 1)
         a = flat[row + (j == row)]
         b = flat[row + 2 - (j == row + 2)]
         del j, row
-        if len(Hs) > 1:  # back to each instance's own numbering
-            own = np.repeat(base[lo:hi], cnt)
-            a -= own
-            b -= own
-            del own
+        # as cells of a (link, vertex) table of the run, in each instance's own numbering
+        cell = np.repeat(np.arange(hi - lo) * width - base[lo:hi], cnt)
+        a += cell
+        b += cell
+        del cell
         # isolated vertices add only zero eigenvalues, so each link keeps just
         # its other vertices, in order (padded to its chunk's largest link)
-        present = np.zeros((hi - lo, width), dtype=bool)
-        present[k, a] = present[k, b] = True
+        present = np.zeros((hi - lo) * width, dtype=bool)
+        present[a] = present[b] = True
+        present = present.reshape(hi - lo, width)
         sizes = present.sum(axis=1)
         rank = (np.cumsum(present, axis=1) - 1).ravel()
-        ra, rb = rank[k * width + a], rank[k * width + b]
-        if len(starts) == 1:
-            return [(max(1, int(sizes.max())), np.arange(lo, hi), sizes, cnt, k, ra, rb)]
+        ra, rb = rank[a], rank[b]
         rel = [s - lo for s in starts]
-        padded = np.repeat(np.maximum(np.maximum.reduceat(sizes, rel), 1), np.diff([*rel, hi - lo]))
-        out = []
-        for size in sorted(set(padded.tolist())):  # np.unique would load numpy.ma, 1.8 MB
-            mine = padded == size
-            inc = mine[k]
-            k_mine = (np.cumsum(mine) - 1)[k[inc]]
-            out.append((size, lo + np.flatnonzero(mine), sizes[mine], cnt[mine], k_mine, ra[inc], rb[inc]))
-        return out
+        padded = np.maximum(np.maximum.reduceat(sizes, rel), 1).tolist()
+        bounds, cuts = [*rel, hi - lo], [*begins[rel].tolist(), len(ra)]  # of each chunk's links, incidences
+        return [
+            (size, np.arange(lo + s, lo + e), sizes[s:e], cnt[s:e], ra[p:q], rb[p:q])
+            for size, s, e, p, q in zip(padded, bounds, bounds[1:], cuts, cuts[1:])
+        ]
 
     run: list[int] = []  # the first links of the chunks built together
     run_bytes = width = at = 0

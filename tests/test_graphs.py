@@ -73,7 +73,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "edges,message",
         [
-            # at n = 9 the key of (1, 2, 14) is that of (1, 3, 4): the out-of-range row is named
+            # in base n + 1 = 10, (1, 2, 14) and (1, 3, 4) read as one number; neither is a repeat
             (((1, 3, 4), (1, 2, 14)), "edge (1, 2, 14) out of range 1..9"),
             (((1, 2, 14), (1, 3, 4)), "edge (1, 2, 14) out of range 1..9"),
             (((1, 3, 4), (4, 2, 1)), "edge (4, 2, 1) is not an increasing triple"),
@@ -81,10 +81,16 @@ class TestValidation:
             (((2, 3, 4), (1, 2, 10), (1, 2, 3), (2, 3, 4)), "edge (1, 2, 10) out of range 1..9"),
         ],
     )
-    def test_repeats_by_row_keys(self, edges, message):
+    def test_first_bad_row_of_an_unsorted_array(self, edges, message):
         with pytest.raises(ValueError) as err:
             Hypergraph3(9, np.array(edges))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [9, KEY_MAX_N + 1, 2**40])
+    def test_repeat_found_at_any_n(self, n):
+        edges = np.array([(5, 6, 7), (1, 2, n), (1, 2, 3), (1, 2, n), (5, 6, 7)])
+        with pytest.raises(ValueError, match=rf"^duplicate edge \(1, 2, {n}\)$"):
+            Hypergraph3(n, edges)
 
     def test_first_bad_row_agrees_with_an_exact_repeat_test(self):
         rng = random.Random(61)
@@ -92,7 +98,7 @@ class TestValidation:
             n = rng.randint(1, 8)
             rows = [sorted(rng.sample(range(1, n + 3), 3)) for _ in range(rng.randint(1, 12))]
             rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]  # repeats
-            # entries above n, whose keys may equal an in-range row's, or below 0
+            # entries above n, among them rows that read in base n + 1 as an in-range row, or below 0
             for _ in range(2):
                 rows.append([rng.randint(-1, 2), rng.randint(0, n), rng.randint(n + 1, (n + 1) ** 2)])
             rng.shuffle(rows)

@@ -271,7 +271,21 @@ class TestLinkSpectraBlock:
         monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 3 * 8 * 12 * 12)
         specs = [(12, 0.3, 1), (9, 0.5, 2), (12, 0.1, 3), (7, 0.6, 4)]
         Hs = [random_3graph(n, p, seed).hypergraph for n, p, seed in specs]
-        for H, spectra in zip(Hs, spectral.link_spectra_block(Hs)):
+        stacks = []
+        real = spectral._link_radii
+
+        def link_radii(A, sizes, edges, tolerance):
+            stacks.append(A.shape[:2])
+            return real(A, sizes, edges, tolerance)
+
+        monkeypatch.setattr(spectral, "_link_radii", link_radii)
+        block = spectral.link_spectra_block(Hs)
+        # a chunk holds three links, a stack of smaller ones up to 3456 // (8 size^2), often
+        # not a multiple of three: a stack is solved before a chunk would take it over
+        assert all(k <= spectral.LINK_CHUNK_BYTES // (8 * size * size) for k, size in stacks)
+        assert sum(k for k, _ in stacks) == sum(H.n for H in Hs)
+        monkeypatch.setattr(spectral, "_link_radii", real)
+        for H, spectra in zip(Hs, block):
             assert spectra == link_spectra(H)
 
     def test_equal_padded_sizes_share_a_stack(self, monkeypatch):
