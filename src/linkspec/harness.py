@@ -20,8 +20,9 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, nan
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .spectral import (
     LinkSpectra,
     Threshold,
     classify_condition,
+    degree_quotients_clear,
     exact_threshold_match,
     link_spectra,
     link_spectra_block,
@@ -180,6 +182,18 @@ def verify_theorem(
     rep = replace(rep, mode=mode, notes=tuple(notes) + rep.notes)
     if rep.condition != "holds":
         return rep
+    return _conclude(H, rep, bool(notes), budget, lp_limit)
+
+
+def _conclude(
+    H: Hypergraph3, rep: CheckReport, outside: bool, budget: int, lp_limit: int | None
+) -> CheckReport:
+    """The conclusion step of :func:`verify_theorem`, for a report whose condition holds.
+
+    `outside` says that H lies outside the hypothesis of the statement of
+    rep.mode, where a failed conclusion is skipped.
+    """
+    s, mode = rep.s, rep.mode
     if mode == "conj_pm" and H.n != 3 * s + 3:
         return replace(rep, notes=rep.notes + ("skipped: conclusion undefined at this n",))
 
@@ -200,7 +214,7 @@ def verify_theorem(
         return replace(rep, notes=rep.notes + ("skipped: search budget exhausted",))
     elif mode == "conj_pm":
         rep = replace(rep, perfect_matching=False)
-    if notes:  # no statement says anything outside its hypothesis
+    if outside:  # no statement says anything outside its hypothesis
         return replace(rep, notes=rep.notes + ("skipped: conclusion fails outside the hypothesis",))
     if mode.startswith("conj"):
         return replace(rep, verdict="counterexample", instance=H)
@@ -313,26 +327,33 @@ def lift_link_matching(P: ShiftedPair, s: int) -> Matching3:
 # Absorbing sets and the removal edge-count lemma
 
 
-def _has_disjoint_edges(masks: Sequence[int], k: int) -> bool:
-    """Whether some k of the given edge bitmasks are pairwise disjoint (exhaustive)."""
-    if k <= 0:
+def _splits_into_edges(mask: int, thirds: list[list[int]]) -> bool:
+    """Whether the vertex set `mask` is a disjoint union of edges (exhaustive).
+
+    Bit x of thirds[a][b] says that {a, b, x} is an edge, for a < b < x.
+    The smallest vertex a of the set must lie on one of the edges, so each
+    edge {a, b, x} within the set is tried in turn, and the rest of the set
+    is split the same way.
+    """
+    if not mask:
         return True
-
-    def rec(i: int, used: int, left: int) -> bool:
-        if left == 0:
-            return True
-        if len(masks) - i < left:
-            return False
-        for j in range(i, len(masks)):
-            if not masks[j] & used and rec(j + 1, used | masks[j], left - 1):
+    a = (mask & -mask).bit_length() - 1
+    rest = mask ^ 1 << a
+    bs = rest
+    while bs:
+        low_b = bs & -bs
+        bs ^= low_b
+        xs = thirds[a][low_b.bit_length() - 1] & rest
+        while xs:
+            low_x = xs & -xs
+            if _splits_into_edges(rest ^ low_b ^ low_x, thirds):
                 return True
-        return False
-
-    return rec(0, 0, k)
+            xs ^= low_x
+    return False
 
 
 #: most candidate 6-sets absorbing_sets scans, which allows n <= 25; at n = 25,
-#: p = 0.7 its 74 613 sets took about 9 s on a 2-vCPU VM
+#: p = 0.7 its 74 613 sets took about 0.25 s on a 2-vCPU VM
 MAX_ABSORB_SIX_SETS = 10**5
 
 
@@ -340,7 +361,11 @@ def absorbing_sets(H: Hypergraph3, T: Iterable[int]) -> list[tuple[int, ...]]:
     """All 6-sets A disjoint from T with nu(H[A]) >= 2 and nu(H[A+T]) >= 3.
 
     Every one of the C(n-3, 6) candidate sets is scanned, so a ValueError
-    refuses a scan of more than MAX_ABSORB_SIX_SETS of them.
+    refuses a scan of more than MAX_ABSORB_SIX_SETS of them.  Two disjoint
+    edges within six vertices cover them, and three within nine cover them,
+    so both conditions ask whether a vertex set splits into edges; that
+    search reads each edge {a, b, x} from the edges' bitmask of x per pair
+    a < b, so it never scans the edge list.
     """
     ts = tuple(sorted(set(T)))
     if len(ts) != 3:
@@ -355,15 +380,14 @@ def absorbing_sets(H: Hypergraph3, T: Iterable[int]) -> list[tuple[int, ...]]:
             f"more than the limit {MAX_ABSORB_SIX_SETS}"
         )
     rest = [v for v in range(1, H.n + 1) if v not in ts]
-    edge_masks = [1 << a | 1 << b | 1 << c for a, b, c in H.edge_array.tolist()]
+    thirds = [[0] * (H.n + 1) for _ in range(H.n + 1)]
+    for a, b, c in H.edge_array.tolist():
+        thirds[a][b] |= 1 << c
     t_mask = sum(1 << v for v in ts)
     out = []
     for A in combinations(rest, 6):
         a_mask = sum(1 << v for v in A)
-        if not _has_disjoint_edges([e for e in edge_masks if e & a_mask == e], 2):
-            continue
-        both = a_mask | t_mask
-        if _has_disjoint_edges([e for e in edge_masks if e & both == e], 3):
+        if _splits_into_edges(a_mask, thirds) and _splits_into_edges(a_mask | t_mask, thirds):
             out.append(A)
     return out
 
@@ -606,19 +630,25 @@ def _random_range_worker(
     counts = _new_counts()
     violations: list[CheckReport] = []
     block = _search_block(n)
+    notes = tuple(_hypothesis_notes(n, s, mode))
     for start in range(lo, hi, block):
         ks = range(start, min(start + block, hi))
         Hs = [random_3graph(n, p, instance_seed(base_seed, k)).hypergraph for k in ks]
-        for k, H, spectra in zip(ks, Hs, link_spectra_block(Hs)):
-            rep = verify_theorem(
-                H,
-                s,
-                mode,
-                budget=budget,
-                eps=eps,
-                link_rho=spectra,
-                instance_id=f"random(n={n},p={p},seed={base_seed})#{k}",
-            )
+        clear = [False] * len(Hs)
+        if n > s:  # below s+1 vertices there is no threshold, and verify_theorem says so
+            threshold = exact_threshold_match(s, n)
+            clear = degree_quotients_clear(Hs, threshold, eps, DEFAULT_TOLERANCE)
+        spectra = iter(link_spectra_block([H for H, c in zip(Hs, clear) if not c]))
+        for k, H, c in zip(ks, Hs, clear):
+            instance_id = f"random(n={n},p={p},seed={base_seed})#{k}"
+            verify = partial(verify_theorem, H, s, mode, budget=budget, eps=eps, instance_id=instance_id)
+            if c:  # the condition holds: no radii are computed unless a violation is reported
+                holds = CheckReport(instance_id, n, s, mode, (), nan, threshold.value, "holds", notes=notes)
+                rep = _conclude(H, holds, bool(notes), budget, DEFAULT_TRIPLE_LIMIT)
+                if rep.verdict in ("counterexample", "bug_suspect"):
+                    rep = verify()
+            else:
+                rep = verify(link_rho=next(spectra))
             _tally(counts, rep)
             if rep.verdict in ("counterexample", "bug_suspect"):
                 violations.append(rep)
@@ -638,12 +668,23 @@ def search_random(
 ) -> SearchSummary:
     """Verify `samples` seeded random instances; deterministic for fixed params.
 
-    A range of samples is taken in blocks of :func:`_search_block` seeds:
-    each instance is generated from its own seed, the block's link spectra
-    are computed in one :func:`link_spectra_block` pass, and each instance
-    is verified with its own.  With threads > 1 the sample range is
-    partitioned across worker processes; each instance's seed depends only
-    on (seed, k), its link spectra do not depend on its block, and the
+    A range of samples is taken in blocks of :func:`_search_block` seeds,
+    and each instance is generated from its own seed.  The block's exact
+    degree quotients come first (:func:`degree_quotients_clear`): an
+    instance whose every link's quotient clears the threshold with the
+    margin eps + 2 tolerance has a condition that holds, so it goes straight
+    to the conclusion step of :func:`verify_theorem`, and only a violation
+    found there is verified again with its link spectra, so that its report
+    carries its radii.  The link spectra of the other instances are computed
+    in one :func:`link_spectra_block` pass, and each of them is verified
+    with its own.  The counts and violations are those of
+    ``verify_theorem(H, s, mode, ...)`` per instance, except that an
+    instance with a link whose spectrum does not converge counts as
+    "holds" rather than "indeterminate" when its quotients clear it.
+
+    With threads > 1 the sample range is partitioned across worker
+    processes; each instance's seed depends only on (seed, k), its degree
+    quotients and link spectra do not depend on its block, and the
     aggregation is order-independent, so parallel and sequential runs
     produce identical summaries.
     """

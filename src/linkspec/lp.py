@@ -262,7 +262,7 @@ def fractional_matching(
     # A over the vertices that meet an edge: column j has a 1 in each of
     # edge j's three vertex rows; c and b are all ones
     E = H.edge_array
-    touched = np.unique(E).tolist()
+    touched = np.flatnonzero(np.bincount(E.ravel())).tolist()  # np.unique would import numpy.ma
     k, m = len(touched), H.m
     row_of = np.zeros(H.n + 1, dtype=np.intp)
     row_of[touched] = np.arange(k)

@@ -32,12 +32,21 @@ POWER_MIN_VERTICES vertices and at least as many edges as vertices - 1
 cannot close within tolerance, and all other links, take one batched
 eigensolve per stack.  :func:`spectral_radius` of a single graph always
 takes the eigensolve route.
+
+A condition min rho > t needs no radius where a lower bound clears t:
+:func:`degree_quotients_clear` takes the Rayleigh quotient d^T A d / d^T d
+of each link's degree vector d, exact in integers for a whole block of
+3-graphs from one bincount of their codegrees, and says which 3-graphs it
+proves to hold, with a margin that makes the verdict the one their link
+spectra would give.  :meth:`Threshold.compare` is the one exact rule by
+which every float or rational is compared with a threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -95,12 +104,20 @@ class Threshold:
 
     def sign(self, x: float) -> int:
         """Sign of the exact value of x minus this number."""
-        p, q = x.as_integer_ratio()  # x - (a + sqrt(d))/b has the sign of L - sqrt(d) q
-        L = self.b * p - self.a * q
+        return self.compare(*x.as_integer_ratio())
+
+    def compare(self, p: int, q: int) -> int:
+        """Sign of p/q minus this number, for integers p and q > 0."""
+        L = self.b * p - self.a * q  # p/q - (a + sqrt(d))/b has the sign of L - sqrt(d) q
         R2 = self.d * q * q
         if L <= 0:
             return -1 if L < 0 or R2 > 0 else 0
         return (L * L > R2) - (L * L < R2)
+
+    def plus(self, r: Fraction) -> "Threshold":
+        """This number plus r, exactly: (a q + p b + sqrt(d q^2)) / (b q) for r = p/q."""
+        p, q = r.numerator, r.denominator
+        return Threshold(self.a * q + p * self.b, self.d * q * q, self.b * q)
 
 
 def _components(G: Graph2) -> list[list[int]]:
@@ -465,6 +482,67 @@ def _block_spectra(
         out.append(LinkSpectra(vs, r, lo, hi, tuple(converged[at : at + len(vs)]), tolerance))
         at += len(vs)
     return out
+
+
+def _degree_quotients(Hs: Sequence[Hypergraph3]) -> tuple[np.ndarray, np.ndarray]:
+    """The integers d^T A d and d^T d of every link of each 3-graph in Hs, in vertex order.
+
+    A is the link's adjacency and d its degree vector: d_a is the codegree
+    of the link's vertex v and a.  The instances' vertices are numbered one
+    after another, and one bincount of the ordered pairs (v, a) of every
+    edge gives the codegrees as a (link, vertex) table.  Then d^T d sums a
+    row's squares, and d^T A d sums 2 d_a d_b over the edges {v, a, b}.
+    """
+    ns = [H.n for H in Hs]
+    width = max([1, *ns])
+    offsets = [0, *accumulate(ns)]
+    own = np.concatenate([H.edge_array for H in Hs]) - 1  # each instance's own vertices, from 0
+    block = own + np.repeat(offsets[:-1], [H.m for H in Hs])[:, None]  # numbered across the block
+    # the pairs (v, a) of each edge, v by v, as cells of the (link, vertex) table
+    cells = block[:, [0, 0, 1, 1, 2, 2]] * width + own[:, [1, 2, 0, 2, 0, 1]]
+    codegree = np.bincount(cells.ravel(), minlength=offsets[-1] * width)
+    den = (codegree.reshape(-1, width) ** 2).sum(axis=1)
+    d = codegree[cells]  # per edge and v on it: d_a, d_b of its other two vertices
+    num = np.zeros(offsets[-1], dtype=np.int64)
+    np.add.at(num, block.ravel(), (2 * d[:, 0::2] * d[:, 1::2]).ravel())
+    return num, den
+
+
+def degree_quotients_clear(
+    Hs: Sequence[Hypergraph3], threshold: Threshold, eps: float, tolerance: float
+) -> list[bool]:
+    """Whether, per 3-graph in Hs, the degree quotients prove that its condition holds.
+
+    Every link's Rayleigh quotient q = d^T A d / d^T d of its degree vector
+    d is at most its radius rho*, and is exact from :func:`_degree_quotients`.
+    ``link_spectra(H, tolerance).condition(threshold, eps)`` says "holds"
+    when every link converged, every lower bound exceeds the threshold t,
+    and every float radius rho exceeds the float f = threshold.value + eps.
+    A converged link has rho* in [lower, upper], lower >= rho - tolerance
+    and upper <= rho + tolerance, so rho >= rho* - tolerance and lower >=
+    rho* - 2 tolerance.  Hence q > t + 2 tolerance proves lower > t, and
+    q > f + tolerance proves rho > f.  An instance is cleared when every
+    link's q exceeds the larger of t + max(eps, 0) + 2 tolerance and f +
+    tolerance, compared exactly as rationals by :meth:`Threshold.compare`;
+    its condition is then "holds", or "indeterminate" where a link does not
+    converge.  An instance with no vertices or an empty link is not cleared.
+    """
+    _check_tolerance(tolerance)
+    clear = [False] * len(Hs)
+    f = threshold.value + eps
+    if not Hs or not math.isfinite(f):
+        return clear
+    bar = threshold.plus(Fraction(max(eps, 0.0)) + 2 * Fraction(tolerance))
+    g = Fraction(f) + Fraction(tolerance)
+    if bar.compare(g.numerator, g.denominator) > 0:
+        bar = Threshold(g.numerator, 0, g.denominator)
+    nums, dens = (x.tolist() for x in _degree_quotients(Hs))
+    at = 0
+    for i, H in enumerate(Hs):
+        links = range(at, at + H.n)
+        at += H.n
+        clear[i] = H.n > 0 and all(dens[j] and bar.compare(nums[j], dens[j]) > 0 for j in links)
+    return clear
 
 
 def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> SpectralReport:

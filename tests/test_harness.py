@@ -32,6 +32,7 @@ from linkspec.matching import max_matching_3graph, max_matching_graph
 from linkspec.spectral import link_spectra, spectral_radius
 
 from conftest import brute_nu_3graph, rand_3graph, ref_shift_closure_holds, uncertifiable_links
+from test_acceptance import RANDOM_SWEEP_CONFIGS
 
 
 class TestCheckCondition:
@@ -508,6 +509,8 @@ class TestSearchRandom:
         samples = 2 * harness._search_block(n) + 3
         reports = []
         tally = harness._tally
+        # no instance is cleared by its degree quotients, so every one goes through the block spectra
+        monkeypatch.setattr(harness, "degree_quotients_clear", lambda Hs, *args: [False] * len(Hs))
         monkeypatch.setattr(harness, "_tally", lambda counts, rep: (reports.append(rep), tally(counts, rep)))
         search_random(n, p, samples, seed, s, "conj_pm")
         alone = [
@@ -520,6 +523,37 @@ class TestSearchRandom:
             for k in range(samples)
         ]
         assert reports == alone
+
+    @staticmethod
+    def full_route(n, p, samples, seed, s, mode):
+        """The counts and violations of verify_theorem with full link spectra, instance by instance."""
+        counts, violations = harness._new_counts(), []
+        for k in range(samples):
+            H = random_3graph(n, p, instance_seed(seed, k)).hypergraph
+            rep = verify_theorem(H, s, mode, instance_id=f"random(n={n},p={p},seed={seed})#{k}")
+            harness._tally(counts, rep)
+            if rep.verdict in ("counterexample", "bug_suspect"):
+                violations.append(rep)
+        return counts, tuple(violations)
+
+    @pytest.mark.parametrize(
+        "n, p, samples, seed, s, mode",
+        [(n, p, 300, seed, s, "thm13") for s, n, p, seed in RANDOM_SWEEP_CONFIGS]
+        + [(12, 0.8, 400, 8601, 3, "conj_pm")],  # the search_pm benchmark's parameters
+    )
+    def test_counts_equal_the_full_route(self, n, p, samples, seed, s, mode):
+        summary = search_random(n, p, samples, seed, s, mode)
+        assert (summary.counts, summary.violations) == self.full_route(n, p, samples, seed, s, mode)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_violations_equal_the_full_route(self, monkeypatch, threads):
+        # with no matching ever found, every instance whose condition holds is a violation
+        monkeypatch.setattr(harness, "find_matching_of_size", lambda H, size, budget=None: (None, True))
+        for args in ((12, 0.8, 23, 5, 3, "conj_pm"), (10, 0.7, 23, 6, 2, "conj_matching")):
+            summary = search_random(*args, threads=threads)
+            counts, violations = self.full_route(*args)
+            assert summary.counts == counts and summary.violations == violations
+            assert len(violations) > 15 and all(rep.per_vertex_rho for rep in violations)
 
     def test_thread_invariant_across_block_boundaries(self):
         block = harness._search_block(12)

@@ -58,6 +58,22 @@ def test_import_and_check_leave_networkx_unloaded(tmp_path):
     assert out.stdout.split() == ["False"]
 
 
+def test_fractional_matching_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, about 1.5 MiB of peak memory in every shift or sweep process
+    code = (
+        "import sys; from linkspec import constructions, lp; "
+        "assert 'numpy.ma' not in sys.modules, 'import'; "
+        "lp.fractional_matching(constructions.random_3graph(12, 0.8, 1).hypergraph); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    path_env = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path_env),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False"]
+
+
 PUBLIC_API = {
     # graphs
     "Graph2", "Hypergraph3", "complement", "induced", "link_graph",

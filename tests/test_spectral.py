@@ -16,8 +16,10 @@ from linkspec.harness import instance_seed
 from linkspec.matching import max_matching_graph
 from linkspec.spectral import (
     DEFAULT_COMPARISON_SLACK,
+    DEFAULT_TOLERANCE,
     Threshold,
     classify_condition,
+    degree_quotients_clear,
     exact_threshold_match,
     hong_bound,
     link_spectra,
@@ -398,6 +400,51 @@ class TestThreshold:
         assert t.sign(math.nextafter(x, math.inf)) == 1
         assert t.sign(math.nextafter(x, -math.inf)) == -1
 
+    def test_compare_agrees_with_fractions_at_exact_ties(self):
+        # d a perfect square makes the threshold rational, so Fraction arithmetic decides exactly
+        rng = random.Random(71)
+        for _ in range(400):
+            a, k, b = rng.randint(-20, 20), rng.randint(0, 9), rng.randint(1, 12)
+            t, value = Threshold(a, k * k, b), Fraction(a + k, b)
+            r = Fraction(rng.randint(-10**12, 10**12), 2 ** rng.randint(0, 90))
+            shifted = t.plus(r)
+            q = rng.randint(1, 50)
+            for p in (value.numerator * q, value.numerator * q + 1, value.numerator * q - 1):
+                x = Fraction(p, value.denominator * q)  # equal to the value, or just beside it
+                assert t.compare(x.numerator, x.denominator) == (x > value) - (x < value)
+                y = x + r
+                assert shifted.compare(y.numerator, y.denominator) == (x > value) - (x < value)
+
+    def test_compare_agrees_with_high_precision_off_squares(self):
+        import decimal
+
+        rng = random.Random(72)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            for _ in range(400):
+                a, d, b = rng.randint(-20, 20), rng.randint(0, 500), rng.randint(1, 12)
+                if math.isqrt(d) ** 2 == d:
+                    continue
+                value = (decimal.Decimal(a) + decimal.Decimal(d).sqrt()) / b
+                p, q = rng.randint(-400, 400), rng.randint(1, 40)
+                expect = (decimal.Decimal(p) / q > value) - (decimal.Decimal(p) / q < value)
+                assert Threshold(a, d, b).compare(p, q) == expect
+
+    def test_sign_keeps_the_rule_it_had(self):
+        def old_sign(t: Threshold, x: float) -> int:
+            p, q = x.as_integer_ratio()
+            L = t.b * p - t.a * q
+            R2 = t.d * q * q
+            if L <= 0:
+                return -1 if L < 0 or R2 > 0 else 0
+            return (L * L > R2) - (L * L < R2)
+
+        rng = random.Random(73)
+        for _ in range(2000):
+            t = Threshold(rng.randint(-30, 30), rng.choice([0, 1, 4, rng.randint(0, 10**4)]), rng.randint(1, 9))
+            x = rng.choice([t.value, math.nextafter(t.value, math.inf), rng.uniform(-40, 40), 0.0, -0.0])
+            assert t.sign(x) == old_sign(t, x)
+
     def test_match_threshold_is_the_float_formula(self):
         for n in range(1, 40):
             for s in range(0, n):
@@ -492,3 +539,84 @@ class TestClassifyCondition:
     def test_nonconverged_is_indeterminate(self):
         for min_rho in (0.0, 3.0, 4.0, 5.0, 100.0):
             assert classify_condition(min_rho, 4.0, 1e-9, False) == "indeterminate"
+
+
+class TestDegreeQuotients:
+    """Rung 0: the exact Rayleigh quotient of each link's degree vector."""
+
+    @staticmethod
+    def brute(H: Hypergraph3) -> list[tuple[int, int]]:
+        out = []
+        for v in range(1, H.n + 1):
+            A = np.zeros((H.n, H.n), dtype=np.int64)
+            for e in H.edges:
+                if v in e:
+                    a, b = (x - 1 for x in e if x != v)
+                    A[a, b] = A[b, a] = 1
+            d = A.sum(axis=1)
+            out.append((int(d @ A @ d), int(d @ d)))
+        return out
+
+    def test_integers_equal_brute_force(self):
+        rng = random.Random(81)
+        Hs = [rand_3graph(rng.randint(0, 14), rng.choice([0, 0.3, 1]), rng) for _ in range(40)]
+        Hs += [Hypergraph3(n, ()) for n in range(3)] + [h1(1, 6).hypergraph, complete_3graph(5).hypergraph]
+        Hs += [Hypergraph3(7, ((1, 2, 3), (1, 4, 5)))]  # empty links at 6 and 7
+        rng.shuffle(Hs)
+        num, den = spectral._degree_quotients(Hs)
+        assert num.dtype == den.dtype == np.int64
+        assert list(zip(num.tolist(), den.tolist())) == [q for H in Hs for q in self.brute(H)]
+        for H in Hs:  # a block of one gives the same integers
+            assert list(zip(*(x.tolist() for x in spectral._degree_quotients([H])))) == self.brute(H)
+
+    def test_quotient_is_never_above_the_radius(self):
+        rng = random.Random(82)
+        for _ in range(60):
+            H = rand_3graph(rng.randint(3, 14), rng.choice([0.3, 0.6, 1]), rng)
+            num, den = spectral._degree_quotients([H])
+            for v, (p, q) in enumerate(zip(num.tolist(), den.tolist()), start=1):
+                rho = eig_rho(link_graph(H, v)[0])
+                assert q == 0 or Fraction(p, q) <= rho + 1e-9
+
+    def test_clears_only_instances_whose_full_route_holds(self):
+        rng = random.Random(83)
+        for n, s in ((9, 1), (9, 2), (12, 2), (12, 3)):
+            t = exact_threshold_match(s, n)
+            Hs = [random_3graph(n, rng.choice([0.5, 0.8]), rng.randrange(10**6)).hypergraph for _ in range(30)]
+            clear = degree_quotients_clear(Hs, t, DEFAULT_COMPARISON_SLACK, DEFAULT_TOLERANCE)
+            for H, c in zip(Hs, clear):
+                if c:
+                    assert link_spectra(H).condition(t, DEFAULT_COMPARISON_SLACK) == ("holds", ())
+            assert any(clear)
+
+    def test_boundary_instances_are_never_cleared(self):
+        # the links of h1's outside vertices sit exactly at the threshold
+        for s in range(1, 5):
+            for n in range(3 * s + 3, 3 * s + 12):
+                H = h1(s, n).hypergraph
+                t = exact_threshold_match(s, n)
+                for eps in (0.0, DEFAULT_COMPARISON_SLACK):
+                    assert degree_quotients_clear([H], t, eps, DEFAULT_TOLERANCE) == [False]
+                assert link_spectra(H).condition(t, DEFAULT_COMPARISON_SLACK)[0] == "indeterminate"
+
+    def test_degenerate_instances_and_slacks_are_never_cleared(self):
+        t = exact_threshold_match(1, 9)
+        K9 = complete_3graph(9).hypergraph
+        assert degree_quotients_clear([K9], t, DEFAULT_COMPARISON_SLACK, DEFAULT_TOLERANCE) == [True]
+        assert degree_quotients_clear([], t, 0.0, DEFAULT_TOLERANCE) == []
+        for eps in (math.inf, math.nan, 100.0):
+            assert degree_quotients_clear([K9], t, eps, DEFAULT_TOLERANCE) == [False]
+        # an empty link (vertex 9 lies on no edge), and no vertices at all
+        K8 = Hypergraph3(9, complete_3graph(8).hypergraph.edges)
+        assert degree_quotients_clear([K8, Hypergraph3(0, ())], t, 0.0, DEFAULT_TOLERANCE) == [False, False]
+        # every link of K9 is K8, of radius 7 and quotient 7: within eps + 2 tolerance of t it is not cleared
+        for eps, below, clears in ((0.0, 1e-10, False), (0.0, 3e-10, True), (1e-9, 1.1e-9, False), (1e-9, 1.3e-9, True)):
+            assert degree_quotients_clear([K9], Threshold.of_float(7 - below), eps, 1e-10) == [clears]
+        # the float rule reads the rounded threshold.value, here 12.8 for the exact 6.9
+        far = Threshold(-(10**18), (10**18 + 69) ** 2, 10)
+        assert far.compare(69, 10) == 0 and far.value > 12
+        assert degree_quotients_clear([K9], far, DEFAULT_COMPARISON_SLACK, DEFAULT_TOLERANCE) == [False]
+        assert link_spectra(K9).condition(far, DEFAULT_COMPARISON_SLACK)[0] != "holds"
+        # a negative slack does not lower the bar below t
+        assert degree_quotients_clear([K9], Threshold(7, 0, 1), -1.0, DEFAULT_TOLERANCE) == [False]
+        assert degree_quotients_clear([K9], Threshold(6, 0, 1), -1.0, DEFAULT_TOLERANCE) == [True]
