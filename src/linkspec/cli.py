@@ -283,7 +283,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         if args.p is None or args.samples is None or args.seed is None:
             return _usage(args, "--p, --samples and --seed are required for random")
-        threads = args.threads or os.cpu_count() or 1
+        # by default, one worker per CPU this process may run on
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = args.threads or usable
         summary = search_random(
             args.n, args.p, args.samples, args.seed, args.s, mode,
             eps=args.eps, budget=args.budget, threads=threads,
@@ -403,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes for random search (0 = all cores)")
+                   help="worker processes for random search (0 = every CPU this process may use)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--strict", action="store_true", help="exit 3 if a counterexample is found")
     common(p, eps=True)

@@ -612,13 +612,21 @@ def instance_seed(base_seed: int, k: int) -> int:
 
 
 def _search_block(n: int) -> int:
-    """Instances per link-spectra block of a random search at n vertices.
+    """Instances per block of a random search at n vertices.
 
-    Their n link matrices of n x n take an eighth of LINK_CHUNK_BYTES:
-    building and proving a stack holds about seven arrays of its size
-    (measured at n = 12), so a block's working set stays within the budget.
-    n counts as at least 3, so that blocks of edgeless instances (n < 3)
-    stay as small as at n = 3.
+    The block is for the degree quotients, which decide nearly every
+    instance: one :func:`degree_quotients_clear` call costs about the same
+    for one instance as for many, and per instance took 57-60 us in blocks
+    of 1, 21-32 us in blocks of 9 and 30-32 us in blocks of 25 or 50 (n = 12,
+    p = 0.8, one core of a 2-vCPU VM), so a search must not go one instance
+    at a time.  The instances they leave undecided share their link
+    spectra's solve stacks.  Each instance gets 64 n^3 bytes of
+    LINK_CHUNK_BYTES, room for eight arrays of 8 n^3 bytes.  Its n link
+    matrices of n x n take one, and building and proving a stack holds
+    about seven (measured at n = 12).  The quotients' arrays hold six int64
+    cells per edge, and m <= n^3 / 6, so each takes 48 m <= 8 n^3 bytes per
+    instance as well.  n counts as at least 3, so that blocks of edgeless
+    instances (n < 3) stay as small as at n = 3.
     """
     return max(1, LINK_CHUNK_BYTES // (64 * max(n, 3) ** 3))
 
@@ -708,7 +716,7 @@ def search_random(
     if len(payloads) == 1:
         results = [_random_range_worker(payloads[0])]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_random_range_worker, payloads))
     for part_counts, part_violations in results:
         for k in _COUNT_KEYS:

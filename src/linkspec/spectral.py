@@ -19,12 +19,13 @@ so no rounded float enters a certified decision.
   the one eigendecomposition.
 
 :func:`link_spectra_block` runs this for every vertex link of a block of
-3-graphs at once, and :func:`link_spectra` for the links of one: one sort
-of the concatenated edge arrays' incidences by vertex feeds dense 0/1 link
-matrices a chunk of vertices at a time.  A link keeps only the vertices
-that lie on its edges, which leaves its radius unchanged and keeps sparse
-links small; it is padded to the largest link of its chunk, and the links
-of equal padded size, from any chunk or instance of the block, share one
+3-graphs at once, and :func:`link_spectra` for the links of one.  Each
+3-graph's links are built on their own: one sort of its edge array's
+incidences by vertex feeds dense 0/1 link matrices a chunk of vertices at
+a time.  A link keeps only the vertices that lie on its edges, which
+leaves its radius unchanged and keeps sparse links small; it is padded to
+the largest link of its chunk.  Only the solve is shared: the links of
+equal padded size, from any chunk or instance of the block, share one
 stack of at most LINK_CHUNK_BYTES.  A link's result depends only on the
 link and its padded size, never on its stack.  Links of at least
 POWER_MIN_VERTICES vertices and at least as many edges as vertices - 1
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -336,11 +337,12 @@ def link_spectra(
 
     A block of one for :func:`_block_spectra`, which builds the links a
     chunk at a time from one sort of the edge array's incidences by vertex
-    and solves the links of equal padded size together.  :func:`_link_radii`
-    sends a link of at least POWER_MIN_VERTICES vertices to power steps
-    first; the links they cannot close, and every other link, take one
-    batched eigensolve per stack.  Either way the bracket is proven from an
-    integer Collatz-Wielandt vector.  Repeated vertices are rejected.
+    and stacks the links of equal padded size, across chunks, for one
+    solve.  :func:`_link_radii` sends a link of at least POWER_MIN_VERTICES
+    vertices to power steps first; the links they cannot close, and every
+    other link, take one batched eigensolve per stack.  Either way the
+    bracket is proven from an integer Collatz-Wielandt vector.  Repeated
+    vertices are rejected.
     """
     _check_tolerance(tolerance)
     vs = tuple(range(1, H.n + 1)) if vertices is None else tuple(vertices)
@@ -358,9 +360,12 @@ def link_spectra_block(
 ) -> list[LinkSpectra]:
     """The spectra of all links of each 3-graph in Hs, one :class:`LinkSpectra` each.
 
-    Entry i equals ``link_spectra(Hs[i], tolerance)``: a link's radius and
-    bracket depend only on the link and its padded size, never on the links
-    it is stacked with.
+    Each 3-graph's links are built on their own, as in :func:`link_spectra`;
+    the block shares only the solve, in one stack per padded size across
+    all of Hs, which pays where many small instances each leave stacks far
+    below LINK_CHUNK_BYTES.  Entry i equals ``link_spectra(Hs[i],
+    tolerance)``: a link's radius and bracket depend only on the link and
+    its padded size, never on the links it is stacked with.
     """
     _check_tolerance(tolerance)
     return _block_spectra(Hs, [tuple(range(1, H.n + 1)) for H in Hs], tolerance)
@@ -371,30 +376,18 @@ def _block_spectra(
 ) -> list[LinkSpectra]:
     """Link spectra of the vertices vss[i] of Hs[i], for every i, in one pass.
 
-    The instances' vertices are numbered one after another, so that one
-    sort of the concatenated edge array's incidences groups the edges of
-    every link in the block.  Each instance's vertices are cut into chunks
-    of as many links as fit LINK_CHUNK_BYTES at n x n, and a link keeps
-    only the vertices that lie on its edges, padded to the largest link in
-    its chunk.  Runs of whole chunks within that budget at n x n are built
-    at once.  The links of equal padded size are stacked, across runs too,
-    up to LINK_CHUNK_BYTES, and each stack goes through :func:`_link_radii`
-    once.
+    Each instance's links are built on their own, from one sort of its edge
+    array's incidences by vertex, a chunk of as many consecutive vertices
+    as fit LINK_CHUNK_BYTES at n x n at a time; a link keeps only the
+    vertices that lie on its edges, padded to the largest link in its
+    chunk.  Each chunk's links join the stack of their padded size, shared
+    across chunks and instances: a stack is solved before a chunk would take
+    it over LINK_CHUNK_BYTES and as soon as it is full, and the rest at the
+    end, each in one :func:`_link_radii` call.
     """
-    if not Hs:
-        return []
-    ns = [H.n for H in Hs]
-    offsets = [0, *accumulate(ns)]
-    # incidence j is vertex flat[j] (numbered across the block, from 0) of edge j // 3
-    flat = np.concatenate([(H.edge_array + (o - 1)).ravel() for H, o in zip(Hs, offsets)])
-    order = np.argsort(flat)  # incidences grouped by vertex; the order within a group is immaterial
-    degree = np.bincount(flat, minlength=offsets[-1])
-    first = np.cumsum(degree) - degree  # where each vertex's group starts in `order`
-    links = np.concatenate([np.asarray(vs, dtype=np.intp) + (o - 1) for vs, o in zip(vss, offsets)])
-    count = degree[links]  # a link has one edge per edge at its vertex
-    base = np.repeat(offsets[:-1], [len(vs) for vs in vss])  # the block number of each link's vertex 1
-    rho, lower, upper = np.zeros(len(links)), np.zeros(len(links)), np.zeros(len(links))
-    stacks: dict[int, list[tuple[np.ndarray, ...]]] = {}  # padded size -> the parts of one stack
+    total = sum(len(vs) for vs in vss)
+    rho, lower, upper = np.zeros(total), np.zeros(total), np.zeros(total)
+    stacks: dict[int, list[tuple[np.ndarray, ...]]] = {}  # padded size -> the chunks of one stack
 
     def solve(size: int) -> None:
         idx, sizes, edges, ra, rb = map(np.concatenate, zip(*stacks.pop(size)))
@@ -403,84 +396,55 @@ def _block_spectra(
         A[(k + ra) * size + rb] = A[(k + rb) * size + ra] = 1.0
         rho[idx], lower[idx], upper[idx] = _link_radii(A.reshape(-1, size, size), sizes, edges, tolerance)
 
-    def stack(size: int, idx: np.ndarray, *rest: np.ndarray) -> None:
-        """Add the links `idx` of one chunk, padded to `size`, with their sizes, edges and entries."""
-        # a chunk's links fit the budget at n x n, so also at size x size
-        cap = max(1, LINK_CHUNK_BYTES // (8 * size * size))
-        held = sum(len(part[0]) for part in stacks.get(size, ()))
-        if held + len(idx) > cap:  # never for the first chunk, which fits alone
-            solve(size)
-            held = 0
-        stacks.setdefault(size, []).append((idx, *rest))
-        if held + len(idx) == cap:
-            solve(size)
-
-    def build(starts: list[int], hi: int, width: int) -> list[tuple]:
-        """The links of the chunks that start at `starts` and end at link `hi`, a chunk each.
-
-        Each chunk comes with its padded size, its links' block indices,
-        sizes and edge counts, and the (row, column) entries of its links
-        in link order.  Returned, not stacked here, so that no array of
-        this build but those entries is alive while a stack is solved.
-        """
-        lo = starts[0]
-        cnt = count[lo:hi]
-        ends = np.cumsum(cnt)
-        begins = ends - cnt  # where each link's incidences begin
-        j = order[np.arange(ends[-1]) + np.repeat(first[links[lo:hi]] - begins, cnt)]
-        row = j - j % 3
-        # the other two vertices of the edge: positions (1, 2), (0, 2) or (0, 1)
-        a = flat[row + (j == row)]
-        b = flat[row + 2 - (j == row + 2)]
-        del j, row
-        # as cells of a (link, vertex) table of the run, in each instance's own numbering
-        cell = np.repeat(np.arange(hi - lo) * width - base[lo:hi], cnt)
-        a += cell
-        b += cell
-        del cell
-        # isolated vertices add only zero eigenvalues, so each link keeps just
-        # its other vertices, in order (padded to its chunk's largest link)
-        present = np.zeros((hi - lo) * width, dtype=bool)
-        present[a] = present[b] = True
-        present = present.reshape(hi - lo, width)
-        sizes = present.sum(axis=1)
-        rank = (np.cumsum(present, axis=1) - 1).ravel()
-        ra, rb = rank[a], rank[b]
-        rel = [s - lo for s in starts]
-        padded = np.maximum(np.maximum.reduceat(sizes, rel), 1).tolist()
-        bounds, cuts = [*rel, hi - lo], [*begins[rel].tolist(), len(ra)]  # of each chunk's links, incidences
-        return [
-            (size, np.arange(lo + s, lo + e), sizes[s:e], cnt[s:e], ra[p:q], rb[p:q])
-            for size, s, e, p, q in zip(padded, bounds, bounds[1:], cuts, cuts[1:])
-        ]
-
-    run: list[int] = []  # the first links of the chunks built together
-    run_bytes = width = at = 0
-    for n, vs in zip(ns, vss):
+    at = 0
+    for H, vs in zip(Hs, vss):
+        n = H.n
+        flat = (H.edge_array - 1).ravel()  # incidence j is vertex flat[j] of edge j // 3
+        order = np.argsort(flat)  # incidences grouped by vertex; the order within a group is immaterial
+        degree = np.bincount(flat, minlength=n)
+        last = np.cumsum(degree)  # where each vertex's group ends in `order`
         per_chunk = max(1, LINK_CHUNK_BYTES // (8 * n * n)) if n else 1
-        for lo in range(at, at + len(vs), per_chunk):
-            cost = 8 * n * n * min(per_chunk, at + len(vs) - lo)
-            if run and run_bytes + cost > LINK_CHUNK_BYTES:
-                for part in build(run, lo, width):
-                    stack(*part)
-                run, run_bytes, width = [], 0, 0
-            run.append(lo)
-            run_bytes, width = run_bytes + cost, max(width, n)
+        for lo in range(0, len(vs), per_chunk):
+            links = np.array(vs[lo : lo + per_chunk], dtype=np.intp) - 1
+            count = degree[links]  # a link has one edge per edge at its vertex
+            ends = np.cumsum(count)
+            j = order[np.arange(ends[-1]) + np.repeat(last[links] - ends, count)]
+            pos = j % 3
+            row = j - pos
+            # the other two vertices of the edge: positions (1, 2), (0, 2) or (0, 1),
+            # as cells of the chunk's (link, vertex) table
+            cell = np.repeat(np.arange(0, len(links) * n, n), count)
+            a = flat[row + (pos == 0)] + cell
+            b = flat[row + 2 - (pos == 2)] + cell
+            del j, pos, row, cell
+            # isolated vertices add only zero eigenvalues, so each link keeps just
+            # its other vertices, in order (padded to the chunk's largest link)
+            present = np.zeros(len(links) * n, dtype=bool)
+            present[a] = present[b] = True
+            rank = np.cumsum(present.reshape(-1, n), axis=1)
+            sizes = rank[:, -1]
+            rank = (rank - 1).ravel()
+            size = max(1, int(sizes.max()))
+            # a chunk's links fit the budget at n x n, so also at size x size
+            cap = max(1, LINK_CHUNK_BYTES // (8 * size * size))
+            held = sum(len(part[0]) for part in stacks.get(size, ()))
+            if held + len(links) > cap:  # never for the first chunk, which fits alone
+                solve(size)
+                held = 0
+            idx = np.arange(at + lo, at + lo + len(links))
+            stacks.setdefault(size, []).append((idx, sizes, count, rank[a], rank[b]))
+            if held + len(links) == cap:
+                solve(size)
         at += len(vs)
-    if run:
-        for part in build(run, at, width):
-            stack(*part)
     for size in list(stacks):
         solve(size)
 
-    bounds = list(zip(rho.tolist(), lower.tolist(), upper.tolist()))
-    converged = [_within(*b, tolerance) for b in bounds]
+    bounds = zip(rho.tolist(), lower.tolist(), upper.tolist())
     out = []
-    at = 0
     for vs in vss:
-        r, lo, hi = zip(*bounds[at : at + len(vs)]) if vs else ((), (), ())
-        out.append(LinkSpectra(vs, r, lo, hi, tuple(converged[at : at + len(vs)]), tolerance))
-        at += len(vs)
+        own = list(islice(bounds, len(vs)))
+        r, lo, hi = zip(*own) if own else ((), (), ())
+        out.append(LinkSpectra(vs, r, lo, hi, tuple(_within(*b, tolerance) for b in own), tolerance))
     return out
 
 

@@ -308,6 +308,28 @@ class TestSearch:
         )
         assert code == 1 and out == "" and "samples must be at most 1000003" in err
 
+    def test_default_threads_are_the_usable_cpus(self, capsys, monkeypatch):
+        # one worker per CPU the process may run on, which os.cpu_count() overstates under an affinity mask
+        passed = []
+        real = cli.search_random
+
+        def search_random(*args, threads, **kwargs):
+            passed.append(threads)
+            return real(*args, threads=1, **kwargs)
+
+        monkeypatch.setattr(cli, "search_random", search_random)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        argv = ("search", "--space", "random", "--n", "7", "--s", "1", "--mode", "thm13",
+                "--p", "0.7", "--samples", "5", "--seed", "5", "--no-timing")
+        reports = [run(capsys, *argv)[1], run(capsys, *argv, "--threads", "2")[1]]
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        reports.append(run(capsys, *argv)[1])
+        assert passed == [3, 2, 64]
+        assert reports[0] == reports[2]
+        # the parameters hold no thread count, and the results do not depend on it
+        assert len({json.dumps({k: json.loads(rep)[k] for k in ("parameters", "results")}) for rep in reports}) == 1
+
     def test_random_requires_sampling_params(self, capsys):
         code, _, err = run(
             capsys, "search", "--space", "random", "--n", "7", "--s", "1",

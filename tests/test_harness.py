@@ -555,6 +555,31 @@ class TestSearchRandom:
             assert summary.counts == counts and summary.violations == violations
             assert len(violations) > 15 and all(rep.per_vertex_rho for rep in violations)
 
+    def test_pool_has_one_worker_per_range(self, monkeypatch):
+        # a forking pool starts all max_workers processes at its first submit, used or not
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
+        summary = search_random(9, 0.5, 3, 1, 1, "thm13", threads=8)
+        assert workers == [3]
+        serial = search_random(9, 0.5, 3, 1, 1, "thm13")
+        assert summary.counts == serial.counts and summary.violations == serial.violations
+        search_random(9, 0.5, 10, 1, 1, "thm13", threads=2)
+        assert workers == [3, 2]
+
     def test_thread_invariant_across_block_boundaries(self):
         block = harness._search_block(12)
         samples = 4 * block + 5  # three ranges of 14, 14 and 13 at block 9

@@ -268,8 +268,8 @@ class TestLinkSpectraBlock:
         for H, vs, spectra in zip(Hs, vss, block):
             assert spectra == link_spectra(H, vertices=vs)
 
-    def test_small_budget_splits_runs_and_stacks(self, monkeypatch):
-        # a budget of three 12-vertex links: many runs, and stacks solved as they fill
+    def test_small_budget_splits_chunks_and_stacks(self, monkeypatch):
+        # a budget of three 12-vertex links: many chunks, and stacks solved as they fill
         monkeypatch.setattr(spectral, "LINK_CHUNK_BYTES", 3 * 8 * 12 * 12)
         specs = [(12, 0.3, 1), (9, 0.5, 2), (12, 0.1, 3), (7, 0.6, 4)]
         Hs = [random_3graph(n, p, seed).hypergraph for n, p, seed in specs]
@@ -314,6 +314,17 @@ class TestLinkSpectraBlock:
             counts = [k for k, m, _ in stacks if m == size]
             assert len(counts) == -(-sum(counts) // cap) and max(counts) <= cap
         assert len(stacks) < 100
+        # across instances of different n: the links of n = 12 are padded to 11, and so are those
+        # of the same edges at n = 13 and 14, whose extra vertices are isolated
+        stacks.clear()
+        Hs = [random_3graph(n, 0.8, seed).hypergraph for n in (11, 12, 13) for seed in range(3)]
+        Hs += [Hypergraph3(n, Hs[3].edge_array) for n in (13, 14)]
+        block = spectral.link_spectra_block(Hs)
+        assert {shape[1]: shape[0] for shape in stacks} == {10: 3 * 11, 11: 3 * 12 + 13 + 14, 12: 3 * 13}
+        assert len(stacks) == 3
+        monkeypatch.setattr(spectral, "_link_radii", real)
+        for H, spectra in zip(Hs, block):
+            assert spectra == link_spectra(H)
 
     def test_links_are_padded_to_the_largest_of_their_chunk(self, monkeypatch):
         stacks = []
