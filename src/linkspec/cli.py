@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .constructions import complete_3graph, h1, h2, random_3graph
-from .fileio import ParseError, edge_lists, load_instance, save_instance, serialize, serialize_json
+from .fileio import ParseError, load_instance, save_instance, serialize, serialize_json
 from .graphs import Graph2, Hypergraph3
 from .harness import (
     LiftFailure,
@@ -81,7 +81,7 @@ def _jsonable(obj: Any) -> Any:
             return int(obj)
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (Hypergraph3, Graph2)):
-        return {"n": obj.n, "edges": edge_lists(obj)}
+        return {"n": obj.n, "edges": obj.edge_array.tolist()}
     if isinstance(obj, FractionalAssignment):
         return {"kind": obj.kind, "weights": _jsonable(obj.weights), "value": _jsonable(obj.value)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -209,6 +209,8 @@ def _cmd_rho(args: argparse.Namespace) -> int:
     obj = load_instance(args.file)
     params = {"file": args.file, "tolerance": args.tol, "eps": args.eps, "s": args.s}
     if isinstance(obj, Graph2):
+        if args.vertex is not None or args.s is not None:
+            return _usage(args, "--vertex and --s apply to a 3-graph's links, not to a 2-graph")
         rep = spectral_radius(obj, args.tol)
         _emit(args, params, {"kind": "graph", "spectral": rep}, started)
         return 0
@@ -278,6 +280,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     mode = args.mode.replace("-", "_")
     if args.space == "exhaustive":
+        if args.p is not None or args.samples is not None or args.seed is not None or args.threads:
+            return _usage(args, "--p, --samples, --seed and --threads apply to random search only")
         summary = search_exhaustive(args.n, args.s, mode, eps=args.eps, budget=args.budget)
         params = {"space": "exhaustive", "n": args.n, "s": args.s, "mode": args.mode}
     else:

@@ -6,13 +6,14 @@ increasing in-range labels; ``c ...`` comment lines are allowed anywhere.
 The JSON mirror is ``{"n": <n>, "edges": [[a, b, c], ...]}``.  Malformed
 input in either format raises `ParseError`, which the CLI reports with
 exit 2.  Text is read in one pass of whole-text string and array
-operations, whose edge array goes straight to the `Hypergraph3`
-constructor.  A body of ASCII digits, ``e``, spaces, tabs and ``\n`` after
-the header, as `serialize` writes it, is read in place from its bytes,
-with no list of lines; a body with comments, other line breaks or other
-characters is split into stripped lines first.  Only when that pass cannot
-vouch for every line is the text read again line by line, to name the
-first bad line.  JSON edges are checked one by one with the same messages.
+operations, whose edge array goes straight to the `Hypergraph3` or
+`Graph2` constructor.  A body of ASCII digits, ``e``, spaces, tabs and
+``\n`` after the header, as `serialize` writes it, is read in place from
+its bytes, with no list of lines; a body with comments, other line breaks
+or other characters is split into stripped lines first.  Only when that
+pass cannot vouch for every line is the text read again line by line, to
+name the first bad line.  JSON edges are checked one by one with the same
+messages.
 Parsing and serialization round-trip exactly on canonical form; duplicate
 edges are an error, never deduplicated silently.
 """
@@ -102,7 +103,7 @@ def _read_dimacs(text: str) -> Graph2 | Hypergraph3 | None:
     if flat is None:
         return None
     E = flat.reshape(m, width - 1)
-    build = Hypergraph3 if width == 4 else lambda n, E: Graph2(n, tuple(map(tuple, E.tolist())))
+    build = Hypergraph3 if width == 4 else Graph2
     try:
         return build(n, E)
     except ValueError:  # out of order, which the file may be, or invalid
@@ -209,7 +210,7 @@ def _read_dimacs_lines(text: str) -> Graph2 | Hypergraph3:
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges but {len(edges)} were given")
     try:
-        return (Hypergraph3 if kind == "h3" else Graph2)(n, tuple(sorted(edges)))
+        return (Hypergraph3 if kind == "h3" else Graph2)(n, sorted(edges))
     except ValueError as exc:  # valid labels that an int64 edge array cannot hold
         raise ParseError(str(exc)) from None
 
@@ -226,14 +227,11 @@ def _parse_json(text: str) -> Graph2 | Hypergraph3:
     if type(n) is not int or n < 0 or not isinstance(edges, list):
         raise ParseError("'n' must be a nonnegative integer and 'edges' a list")
     # the first edge fixes the arity; _check_edge holds every edge to it
-    arity = len(edges[0]) if edges and isinstance(edges[0], list) else 3
-    if arity not in (2, 3):
+    build = {2: Graph2, 3: Hypergraph3}.get(len(edges[0]) if edges and isinstance(edges[0], list) else 3)
+    if build is None:
         raise ParseError("edges must be uniformly pairs or triples")
     seen: set[tuple[int, ...]] = set()
-    edges = sorted(_check_edge(e, arity, n, seen) for e in edges)
-    if arity == 2:
-        return Graph2(n, tuple(edges))
-    return Hypergraph3(n, np.array(edges, dtype=np.intp).reshape(-1, 3))
+    return build(n, sorted(_check_edge(e, build.arity, n, seen) for e in edges))
 
 
 def parse_instance(text: str) -> Graph2 | Hypergraph3:
@@ -245,24 +243,13 @@ def parse_instance(text: str) -> Graph2 | Hypergraph3:
 
 def serialize(obj: Graph2 | Hypergraph3) -> str:
     """Canonical newline-terminated text form; parse(serialize(x)) == x."""
-    if isinstance(obj, Hypergraph3):
-        lines = [f"p h3 {obj.n} {obj.m}"]
-        lines.extend(map("e {} {} {}".format, *obj.edge_array.T.tolist()))
-    else:
-        lines = [f"p edge {obj.n} {obj.m}"]
-        lines.extend(f"e {a} {b}" for a, b in obj.edges)
+    lines = [f"p {'h3' if obj.arity == 3 else 'edge'} {obj.n} {obj.m}"]
+    lines.extend(map(("e" + " {}" * obj.arity).format, *obj.edge_array.T.tolist()))
     return "\n".join(lines) + "\n"
 
 
-def edge_lists(obj: Graph2 | Hypergraph3) -> list[list[int]]:
-    """The edges as lists of ints, as the JSON format and reports write them."""
-    if isinstance(obj, Hypergraph3):
-        return obj.edge_array.tolist()
-    return [list(e) for e in obj.edges]
-
-
 def serialize_json(obj: Graph2 | Hypergraph3) -> str:
-    return json.dumps({"n": obj.n, "edges": edge_lists(obj)}) + "\n"
+    return json.dumps({"n": obj.n, "edges": obj.edge_array.tolist()}) + "\n"
 
 
 def load_instance(path: str | Path) -> Graph2 | Hypergraph3:

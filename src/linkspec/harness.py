@@ -586,13 +586,6 @@ def search_exhaustive(
                 link_rho=rho_stack[:, ci],
                 instance_id=f"exhaustive(n={n})#{mask}",
             )
-            # boundary reclassification by the per-instance pass (very rare)
-            if rep.condition != "holds":
-                counts["condition_holds"] -= 1
-                if rep.condition == "indeterminate":
-                    counts["indeterminate"] += 1
-                counts["skipped"] += 1
-                continue
             if rep.verdict == "skipped":
                 counts["skipped"] += 1
             else:

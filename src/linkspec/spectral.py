@@ -518,7 +518,7 @@ def spectral_radius(G: Graph2, tolerance: float = DEFAULT_TOLERANCE) -> Spectral
     _check_tolerance(tolerance)
     if G.m == 0:
         return SpectralReport(0.0, 0.0, 0, tolerance)
-    ea = np.asarray(G.edges) - 1
+    ea = G.edge_array - 1
     A = np.zeros((1, G.n, G.n))
     A[0, ea[:, 0], ea[:, 1]] = 1.0
     A[0, ea[:, 1], ea[:, 0]] = 1.0

@@ -91,11 +91,11 @@ def uncertifiable_links(monkeypatch: pytest.MonkeyPatch, vertices: set[int], n: 
 def ref_first_bad_row(n: int, E: np.ndarray) -> str | None:
     """The message for the first increasing-, range- or repeat-faulty row of E, or None.
 
-    Repeats are found as exactly equal rows, by ``np.unique`` over the rows.
+    The rows are pairs or triples.  Repeats are found as exactly equal rows,
+    by ``np.unique`` over the rows.
     """
-    a, b, c = E.T
-    unordered = ~((a < b) & (b < c))
-    outside = (a < 1) | (c > n)
+    unordered = ~(E[:, :-1] < E[:, 1:]).all(axis=1)
+    outside = (E[:, 0] < 1) | (E[:, -1] > n)
     _, first, inverse = np.unique(E, axis=0, return_index=True, return_inverse=True)
     bad = unordered | outside | (first[inverse.reshape(-1)] != np.arange(len(E)))
     if not bad.any():
@@ -103,7 +103,7 @@ def ref_first_bad_row(n: int, E: np.ndarray) -> str | None:
     i = int(bad.argmax())
     e = tuple(E[i].tolist())
     if unordered[i]:
-        return f"edge {e} is not an increasing triple"
+        return f"edge {e} is not an increasing {'pair' if E.shape[1] == 2 else 'triple'}"
     return f"edge {e} out of range 1..{n}" if outside[i] else f"duplicate edge {e}"
 
 

@@ -440,6 +440,22 @@ class TestContracts:
         assert err.value.code == 1
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [("--vertex", "1"), ("--s", "2")])
+    def test_link_options_on_a_2graph_are_usage_errors(self, capsys, tmp_path, option, value):
+        path = tmp_path / "g.edge"
+        path.write_text("p edge 4 2\ne 1 2\ne 2 3\n")
+        code, out, err = run(capsys, "rho", str(path), option, value, "--no-timing")
+        assert (code, out) == (1, "") and "--vertex and --s apply to a 3-graph's links" in err
+
+    @pytest.mark.parametrize(
+        "option,value", [("--p", "0.3"), ("--samples", "7"), ("--seed", "1"), ("--threads", "4")]
+    )
+    def test_random_options_on_an_exhaustive_search_are_usage_errors(self, capsys, option, value):
+        argv = ["search", "--space", "exhaustive", "--n", "4", "--s", "1", "--mode", "thm13"]
+        code, out, err = run(capsys, *argv, option, value, "--no-timing")
+        assert (code, out) == (1, "") and "apply to random search only" in err
+        assert run(capsys, *argv, "--threads", "0", "--no-timing")[0] == 0  # the default
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["rho"])  # missing file argument

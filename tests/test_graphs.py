@@ -216,6 +216,93 @@ class TestEdgeArray:
         assert Hypergraph3(4, []).m == 0 and Hypergraph3(4, np.empty((0, 3), int)).m == 0
 
 
+
+class TestGraph2EdgeSet:
+    """A `Graph2` is the 2-uniform case of the edge set behind `Hypergraph3`."""
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (-1, (), "vertex count must be nonnegative, got -1"),
+            (3, ((1, 1),), "edge (1, 1) is not an increasing pair"),
+            (3, ((2, 1),), "edge (2, 1) is not an increasing pair"),
+            (3, ((1, 2, 3),), "edge (1, 2, 3) is not an increasing pair"),
+            (3, ((1, 4),), "edge (1, 4) out of range 1..3"),
+            (3, ((0, 1),), "edge (0, 1) out of range 1..3"),
+            (3, ((1, 2), (1, 2)), "duplicate edge (1, 2)"),
+            (3, ((1, 3), (1, 2)), "edges must be sorted lexicographically"),
+            # the first offending edge in the given order is named
+            (3, ((1, 3), (2, 3), (1, 3), (0, 1)), "duplicate edge (1, 3)"),
+            (3, ((2, 3), (1, 2), (1, 5)), "edge (1, 5) out of range 1..3"),
+            (3, ((1, 2), (2, 3), (1,)), "edge (1,) is not an increasing pair"),
+            (3, ((1, 2.5),), "edge (1, 2.5) is not an increasing pair"),
+        ],
+    )
+    def test_g2_error_messages(self, n, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph2(n, edges)
+        assert str(err.value) == message
+        if n >= 0 and all(len(e) == 2 and all(type(v) is int for v in e) for e in edges):
+            with pytest.raises(ValueError) as err:  # the same from an array
+                Graph2(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+            assert str(err.value) == message
+
+    def test_tuples_lists_and_arrays_give_equal_graphs(self):
+        # a list and an array of pairs are accepted as a tuple of pairs is
+        G = Graph2(3, ((1, 2),))
+        for edges in ([(1, 2)], np.array([[1, 2]]), [[1, 2]], iter([(1, 2)]), np.array([[1, 2]], dtype=np.uint8)):
+            same = Graph2(3, edges)
+            assert same == G and hash(same) == hash(G) and same.edges == ((1, 2),)
+        rng = random.Random(21)
+        for n in range(0, 10):
+            G = rand_graph(n, 0.4, rng)
+            for edges in (G.edges, list(G.edges), np.array(G.edges, dtype=np.int64).reshape(-1, 2)):
+                same = Graph2(n, edges)
+                assert same == G and hash(same) == hash(G) and same.edges == G.edges
+            assert G.edge_array.dtype == np.intp and G.edge_array.shape == (G.m, 2)
+            assert not G.edge_array.flags.writeable
+
+    def test_first_bad_row_of_unsorted_pairs(self):
+        rng = random.Random(62)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            rows = [sorted(rng.sample(range(1, n + 3), 2)) for _ in range(rng.randint(1, 12))]
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]  # repeats
+            # entries above n, among them rows that read in base n + 1 as an in-range row, or below 0
+            rows.append([rng.randint(-1, 2), rng.randint(n + 1, (n + 1) ** 2)])
+            rows.append([rng.randint(0, n), rng.randint(0, n)])
+            rng.shuffle(rows)
+            E = np.array(rows, dtype=np.intp)
+            expected = ref_first_bad_row(n, E)
+            if expected is None:
+                continue
+            checked += 1
+            with pytest.raises(ValueError) as err:
+                Graph2(n, E)
+            assert str(err.value) == expected
+        assert checked > 300
+
+    def test_pickle_round_trip(self):
+        G = complete_graph(6)
+        assert G.has_edge(2, 1) and "_edge_keys" in vars(G)
+        copy = pickle.loads(pickle.dumps(G))
+        assert copy == G and hash(copy) == hash(G) and type(copy) is Graph2
+        assert not copy.edge_array.flags.writeable and "_edge_keys" not in vars(copy)
+        assert repr(copy) == repr(G) == f"Graph2(n=6, edges={G.edges!r})"
+
+    def test_not_equal_to_a_3graph(self):
+        assert Graph2(3, ()) != Hypergraph3(3, ()) and not Graph2(3, ()) == Hypergraph3(3, ())
+        assert Graph2(3, ()) == Graph2(3, []) and Graph2(3, ()) != Graph2(4, ())
+
+    @pytest.mark.parametrize("n", [9, KEY_MAX_N, KEY_MAX_N + 1, 2**40])
+    def test_has_edge_is_set_membership(self, n):
+        # on int64 keys up to KEY_MAX_N and on records above it
+        G = Graph2(n, [(1, 2), (1, n), (n - 1, n)])
+        pairs = [(a, b) for a in (0, 1, 2, n - 1, n, n + 1) for b in (0, 1, 2, n - 1, n, n + 1)]
+        assert [G.has_edge(a, b) for a, b in pairs] == [tuple(sorted((a, b))) in set(G.edges) for a, b in pairs]
+        assert G.has_edges(np.array(pairs)).tolist() == [p in set(G.edges) for p in pairs]
+
 class TestLinkGraph:
     def test_complete4_link_is_triangle(self):
         H = complete_3graph(4).hypergraph
